@@ -1,8 +1,9 @@
 """Command-line surface: construct | verify | analyze | search | bounds | export.
 
-Exit codes: 0 success (verify: valid), 1 invalid decomposition, 2 usage or
-parse errors, 3 search budget exceeded.  Output is byte-deterministic for a
-fixed argv and input file.  File writes go through a write-then-rename.
+Exit codes: 0 success (verify: valid), 1 invalid decomposition, 2 usage,
+parse or unreadable-input errors, 3 search budget exceeded.  Output is
+byte-deterministic for a fixed argv and input file.  File writes go through a
+write-then-rename.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .construct import (
     k4_construction,
 )
 from .core import Decomposition, DecompositionError, NotApplicableError
-from .fileio import DecompositionFile, ParseError, export_dot, export_dot_per_forest, parse, serialize
+from .fileio import DecompositionFile, export_dot, export_dot_per_forest, parse, serialize
 from .search import SearchBudget, SearchStatus, exists_decomposition, f_exact
 from .verify import (
     check_counting_inequality,
@@ -389,13 +390,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DecompositionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (DecompositionError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

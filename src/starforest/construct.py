@@ -9,8 +9,7 @@ leaf, which can only shrink or drop a star, so component bounds survive.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import (
     Decomposition,
@@ -50,8 +49,8 @@ def _finalize(
     leftover_matching: tuple[Edge, ...] | None = None,
     expect_exact: bool = False,
 ) -> ConstructionOutput:
-    multiplicity: Counter[Edge] = Counter()
     claimed: set[Edge] = set()
+    duplicates: set[Edge] = set()
     forests: list[StarForest] = []
     slots: list[int] = []
     for _, raw in named_forests:
@@ -62,8 +61,9 @@ def _finalize(
             for leaf in leaves:
                 nslots += 1
                 e = make_edge(center, leaf)
-                multiplicity[e] += 1
-                if e not in claimed:
+                if e in claimed:
+                    duplicates.add(e)
+                else:
                     claimed.add(e)
                     kept.append(leaf)
             if kept:
@@ -71,21 +71,22 @@ def _finalize(
         forests.append(StarForest(tuple(stars)))
         slots.append(nslots)
 
-    duplicates = tuple(sorted(e for e, c in multiplicity.items() if c > 1))
-    if expect_exact:
-        assert not duplicates, f"{family}: unexpected duplicate edges {duplicates[:8]}"
+    raw_duplicates = tuple(sorted(duplicates))
+    if expect_exact and raw_duplicates:
+        raise AssertionError(f"{family}: unexpected duplicate edges {raw_duplicates[:8]}")
 
     d = Decomposition(n=n, k=k, forests=tuple(forests), labels=labels)
     report = validate_decomposition(d)
-    assert report.ok, (
-        f"{family}: construction failed validation "
-        f"(malformed={report.malformed[:3]}, k_violations={report.k_violations[:3]}, "
-        f"missing={report.coverage.missing[:5]}, duplicated={report.coverage.duplicated[:5]})"
-    )
+    if not report.ok:
+        raise AssertionError(
+            f"{family}: construction failed validation "
+            f"(malformed={report.malformed[:3]}, k_violations={report.k_violations[:3]}, "
+            f"missing={report.coverage.missing[:5]}, duplicated={report.coverage.duplicated[:5]})"
+        )
     return ConstructionOutput(
         decomposition=d,
         family=family,
-        raw_duplicates=duplicates,
+        raw_duplicates=raw_duplicates,
         provenance=tuple(name for name, _ in named_forests),
         raw_edge_slots=tuple(slots),
         leftover_matching=leftover_matching,
@@ -143,15 +144,7 @@ def f2_construction(n: int) -> ConstructionOutput:
     """ceil(3n/4) two-star forests for even n: the k=2 matching completion."""
     if n % 2 == 1 or n < 4:
         raise PreconditionError("needs an even n >= 4")
-    out = conjecture_construction(n, 2)
-    return ConstructionOutput(
-        decomposition=out.decomposition,
-        family="f2",
-        raw_duplicates=out.raw_duplicates,
-        provenance=out.provenance,
-        raw_edge_slots=out.raw_edge_slots,
-        leftover_matching=None,
-    )
+    return replace(conjecture_construction(n, 2), family="f2")
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +404,8 @@ def k4_construction(m: int) -> ConstructionOutput:
     for name, raw in named:
         nslots = sum(len(leaves) for _, leaves in raw)
         want = n - 4 if name[0] in "XBC" else n - 2
-        assert nslots == want, f"{name}: {nslots} raw slots, expected {want}"
+        if nslots != want:
+            raise AssertionError(f"{name}: {nslots} raw slots, expected {want}")
 
     return _finalize(n, 4, named, family="k4gen", labels=LabelScheme("block12m4", m))
 
@@ -459,11 +453,4 @@ def f3_construction(n: int) -> ConstructionOutput:
     """5n/9 three-star forests for any positive multiple of 27, by blowing up k27."""
     if n < 27 or n % 27 != 0:
         raise PreconditionError("needs a positive multiple of 27")
-    out = blowup(k27(), n // 27)
-    return ConstructionOutput(
-        decomposition=out.decomposition,
-        family="f3",
-        raw_duplicates=out.raw_duplicates,
-        provenance=out.provenance,
-        raw_edge_slots=out.raw_edge_slots,
-    )
+    return replace(blowup(k27(), n // 27), family="f3")

@@ -12,8 +12,7 @@ later edge), which is what makes the enumeration complete.  Pruning:
   or f is the first unused one, so the very first edge is pinned to forest 0.
 
 Single-threaded and deterministic: the certificate returned is the first one
-found in canonical order.  ``parallelism_hint`` is accepted and ignored, which
-keeps the reported minimum trivially independent of it.
+found in canonical order.
 """
 
 from __future__ import annotations
@@ -37,10 +36,9 @@ class SearchStatus(Enum):
 class SearchBudget:
     max_nodes: int = 50_000_000
     wall_time: float = 600.0
-    parallelism_hint: int = 1
 
     def __post_init__(self) -> None:
-        if self.max_nodes <= 0 or self.wall_time <= 0 or self.parallelism_hint <= 0:
+        if self.max_nodes <= 0 or self.wall_time <= 0:
             raise PreconditionError("budget fields must be positive")
 
 
@@ -81,7 +79,8 @@ class _Searcher:
         if not found:
             return SearchResult(SearchStatus.EXHAUSTED_NOT_FOUND, None, self.nodes)
         cert = self._certificate()
-        assert validate_decomposition(cert).ok
+        if not validate_decomposition(cert).ok:
+            raise AssertionError
         return SearchResult(SearchStatus.FOUND, cert, self.nodes)
 
     def _solve(self, idx: int) -> bool:
@@ -241,11 +240,7 @@ def f_exact(n: int, k: int, budget: SearchBudget | None = None) -> FExactResult:
         if time_left <= 0 or nodes_left <= 0:
             return FExactResult(n, k, SearchStatus.BUDGET_EXCEEDED, None, None,
                                 tuple(attempts), lb, lb_tag, (m, n - 1), nodes_total)
-        res = exists_decomposition(
-            n, k, m,
-            SearchBudget(max_nodes=nodes_left, wall_time=time_left,
-                         parallelism_hint=budget.parallelism_hint),
-        )
+        res = exists_decomposition(n, k, m, SearchBudget(max_nodes=nodes_left, wall_time=time_left))
         attempts.append((m, res.status))
         nodes_total += res.nodes_explored
         nodes_left -= res.nodes_explored

@@ -29,9 +29,7 @@ from .core import (
 
 @dataclass(frozen=True)
 class CoverageReport:
-    n: int
     total_edges: int
-    multiplicity: dict[Edge, int]
     missing: tuple[Edge, ...]
     duplicated: tuple[tuple[Edge, int], ...]
 
@@ -44,49 +42,35 @@ class ValidationReport:
     coverage: CoverageReport
 
 
-def _structural_problems(d: Decomposition) -> list[str]:
-    problems = []
+def validate_decomposition(d: Decomposition) -> ValidationReport:
+    """Full check: structure and exact single coverage of E(K_n), in one pass.
+
+    Structural violations (overlapping stars, out-of-range ids) are reported
+    as malformed, separately from missing/duplicated coverage, so downstream
+    placement checks can trust the shape of anything that passes.  An edge
+    outside K_n needs an out-of-range endpoint, so it is always malformed.
+    """
+    n = d.n
+    malformed: list[str] = []
+    multiplicity: Counter[Edge] = Counter()
     for fi, forest in enumerate(d.forests):
         seen: set[int] = set()
         for star in forest.stars:
             for v in (star.center, *star.leaves):
-                if v >= d.n:
-                    problems.append(f"forest {fi}: vertex {v} out of range for n={d.n}")
+                if v >= n:
+                    malformed.append(f"forest {fi}: vertex {v} out of range for n={n}")
                 if v in seen:
-                    problems.append(f"forest {fi}: vertex {v} appears in more than one star")
+                    malformed.append(f"forest {fi}: vertex {v} appears in more than one star")
                 seen.add(v)
-    return problems
-
-
-def validate_decomposition(d: Decomposition) -> ValidationReport:
-    """Full check: structure first, then exact single coverage of E(K_n).
-
-    Structural violations (overlapping stars, out-of-range ids) are reported
-    as malformed, separately from missing/duplicated coverage, so downstream
-    placement checks can trust the shape of anything that passes.
-    """
-    malformed = tuple(_structural_problems(d))
-    k_violations = tuple(fi for fi, f in enumerate(d.forests) if len(f.stars) > d.k)
-
-    multiplicity: Counter[Edge] = Counter()
-    for forest in d.forests:
-        for star in forest.stars:
             for leaf in star.leaves:
                 multiplicity[make_edge(star.center, leaf)] += 1
+    k_violations = tuple(fi for fi, f in enumerate(d.forests) if len(f.stars) > d.k)
 
-    all_edges = complete_graph_edges(d.n) if d.n >= 2 else []
-    missing = tuple(e for e in all_edges if multiplicity[e] == 0)
+    missing = tuple(e for e in complete_graph_edges(n) if e not in multiplicity)
     duplicated = tuple((e, c) for e, c in sorted(multiplicity.items()) if c > 1)
-    coverage = CoverageReport(
-        n=d.n,
-        total_edges=len(all_edges),
-        multiplicity=dict(multiplicity),
-        missing=missing,
-        duplicated=duplicated,
-    )
-    stray = tuple(e for e in sorted(multiplicity) if e not in set(all_edges))
-    ok = not malformed and not k_violations and not missing and not duplicated and not stray
-    return ValidationReport(ok=ok, malformed=malformed, k_violations=k_violations, coverage=coverage)
+    coverage = CoverageReport(total_edges=n * (n - 1) // 2, missing=missing, duplicated=duplicated)
+    ok = not malformed and not k_violations and not missing and not duplicated
+    return ValidationReport(ok=ok, malformed=tuple(malformed), k_violations=k_violations, coverage=coverage)
 
 
 @dataclass(frozen=True)

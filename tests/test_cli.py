@@ -57,6 +57,20 @@ def test_verify_parse_error_exit_code(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+@pytest.mark.parametrize("kind", ["undecodable", "directory"])
+def test_unreadable_input_exit_2(capsys, tmp_path, command, kind):
+    path = tmp_path / "input.sfd"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"decomposition v1\nn 4\nk 2\n\xff\xfe\x80\n")
+    rc, out, err = run(capsys, [command, "--in", str(path)])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_analyze_k27(capsys):
     rc, out, _ = run(capsys, ["analyze", "--in", str(GOLDEN / "k27.sfd")])
     assert rc == 0

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from starforest import (
@@ -238,3 +243,16 @@ def test_f3_construction_counts():
 def test_provenance_aligned_with_forests():
     for out in (k27(), k16(), broken_double_star(3), f2_construction(8)):
         assert len(out.provenance) == out.forest_count
+
+
+def test_finalize_rejects_incomplete_table_under_optimize():
+    # the validation check in _finalize must not vanish with `python -O`
+    code = (
+        "from starforest.construct import _finalize\n"
+        "_finalize(3, 1, [('a', [(0, [1, 2])])], family='short')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode != 0
+    assert "short: construction failed validation" in proc.stderr

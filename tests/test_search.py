@@ -110,12 +110,6 @@ def test_f_exact_budget_bracketing():
     assert lo <= 5 <= hi
 
 
-def test_value_independent_of_parallelism_hint():
-    a = f_exact(5, 2, SearchBudget(parallelism_hint=1))
-    b = f_exact(5, 2, SearchBudget(parallelism_hint=4))
-    assert a.value == b.value
-
-
 def test_certificate_deterministic():
     a = f_exact(6, 2)
     b = f_exact(6, 2)

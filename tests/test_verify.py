@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from starforest import (
+    CoverageReport,
     Decomposition,
     NotApplicableError,
     PreconditionError,
@@ -72,6 +73,13 @@ def test_validate_out_of_range_vertex():
     d = Decomposition(n=3, k=1, forests=(StarForest((Star(0, (5,)),)),))
     rep = validate_decomposition(d)
     assert any("out of range" in msg for msg in rep.malformed)
+    assert not rep.ok
+    # at n=1 the only edge lies outside K_1, so nothing is missing or duplicated
+    d = Decomposition(n=1, k=1, forests=(StarForest((Star(0, (1,)),)),))
+    rep = validate_decomposition(d)
+    assert rep.malformed == ("forest 0: vertex 1 out of range for n=1",)
+    assert rep.coverage == CoverageReport(total_edges=0, missing=(), duplicated=())
+    assert not rep.ok
 
 
 def test_validate_component_bound():
