@@ -153,7 +153,8 @@ def bound_report(n: int, k: int, use_search: bool = False, budget=None) -> Bound
 
         res = f_exact(n, k, budget)
         if res.status is SearchStatus.FOUND:
-            assert res.value is not None
+            if res.value is None:
+                raise AssertionError(f"search reported F_{k}({n}) found without a value")
             ups.append((res.value, "search"))
             if res.value > lower:
                 lower, lower_source = res.value, "search"

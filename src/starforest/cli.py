@@ -3,7 +3,7 @@
 Exit codes: 0 success (verify: valid), 1 invalid decomposition, 2 usage,
 parse or unreadable-input errors, 3 search budget exceeded.  Output is
 byte-deterministic for a fixed argv and input file.  File writes go through a
-write-then-rename.
+write-then-rename of a uniquely named temporary file beside the target.
 """
 
 from __future__ import annotations
@@ -46,10 +46,25 @@ EXIT_BUDGET = 3
 
 
 def _write_atomic(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Write through a temporary file beside ``path``, then rename it over.
+
+    The temporary name is unique per call, so concurrent writers never share
+    it; a failed write removes it, and the error names ``path`` itself.
+    ``open(..., "x")`` instead of ``tempfile.mkstemp`` keeps the umask-based
+    mode a plain ``open`` gives; mkstemp's 0600 would carry over to ``path``.
+    """
+    tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    try:
+        fh = open(tmp, "x", encoding="utf-8")
+        try:
+            with fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -9,10 +9,16 @@ later edge), which is what makes the enumeration complete.  Pruning:
 * per-forest component bound k and edge capacity n - max(components, 1),
 * global capacity: remaining slots across forests must cover remaining edges,
 * forest symmetry: index f is tried only if some forest < f is already used
-  or f is the first unused one, so the very first edge is pinned to forest 0.
+  or f is the first unused one, so the very first edge is pinned to forest 0,
+* vertex symmetry (column rule): for an edge (i, v) with v >= i + 2, if
+  columns v-1 and v got the same forest on every row i' < i, then (i, v) may
+  not go to a lower forest than (i, v-1).  Sound because the lexicographically
+  smallest assignment in any orbit under forest relabellings and vertex
+  permutations obeys it: swapping v-1 and v would otherwise make it smaller.
 
 Single-threaded and deterministic: the certificate returned is the first one
-found in canonical order.
+found in canonical order, i.e. the lexicographically smallest valid
+assignment, which both symmetry rules keep.
 """
 
 from __future__ import annotations
@@ -65,6 +71,8 @@ class _Searcher:
         self.nleaf = [[0] * n for _ in range(m)]
         self.comps = [0] * m
         self.ecnt = [0] * m
+        self.assign = [0] * len(self.edges)  # forest chosen for each edge
+        self.tie = [0] * n  # leading rows on which columns v-1 and v agree
         self.capacity = m * (n - 1)
         self.used = 0
         self.nodes = 0
@@ -90,7 +98,11 @@ class _Searcher:
             return False
         u, v = self.edges[idx]
         limit = self.used + 1 if self.used < self.m else self.m
-        for f in range(limit):
+        # column rule: while columns v-1 and v agree on rows < u, the edge
+        # (u, v-1) just before this one sets the lowest admissible forest
+        tied = v > u + 1 and self.tie[v] == u
+        lo = self.assign[idx - 1] if tied else 0
+        for f in range(lo, limit):
             undo = self._try_assign(f, u, v)
             if undo is None:
                 continue
@@ -99,9 +111,14 @@ class _Searcher:
                 raise _BudgetStop
             if self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
                 raise _BudgetStop
+            self.assign[idx] = f
+            if tied:
+                self.tie[v] = u + 1 if f == lo else u
             if self._solve(idx + 1):
                 return True
             self._undo(f, undo)
+        if tied:
+            self.tie[v] = u
         return False
 
     def _try_assign(self, f: int, u: int, v: int):

@@ -126,7 +126,7 @@ def degree_profile(rh: RootHypergraph) -> DegreeProfile:
 
     Always satisfies sum_j p_j + isolated = n and degree_sum = sum_j j*p_j;
     when every hyperedge has size 2 or 3 the degree sum additionally equals
-    3m - r, which is asserted.
+    3m - r.  All three identities are checked, also under ``python -O``.
     """
     degrees = rh.degrees()
     counts = Counter(dg for dg in degrees if dg > 0)
@@ -134,11 +134,13 @@ def degree_profile(rh: RootHypergraph) -> DegreeProfile:
     degree_sum = sum(degrees)
     r = sum(1 for e in rh.hyperedges if len(e) == 2)
     prof = DegreeProfile(m=rh.m, r=r, p=dict(sorted(counts.items())), isolated=isolated, degree_sum=degree_sum)
-    assert sum(prof.p.values()) + prof.isolated == rh.n
-    assert sum(j * c for j, c in prof.p.items()) == degree_sum
+    if sum(prof.p.values()) + prof.isolated != rh.n:
+        raise AssertionError(f"degree profile counts {sum(prof.p.values()) + prof.isolated} vertices, n={rh.n}")
+    if sum(j * c for j, c in prof.p.items()) != degree_sum:
+        raise AssertionError(f"degree profile does not sum to the degree sum {degree_sum}")
     sizes = {len(e) for e in rh.hyperedges}
-    if sizes <= {2, 3}:
-        assert degree_sum == 3 * rh.m - r
+    if sizes <= {2, 3} and degree_sum != 3 * rh.m - r:
+        raise AssertionError(f"degree sum {degree_sum} != 3m - r = {3 * rh.m - r}")
     return prof
 
 

@@ -94,3 +94,16 @@ def test_bound_report_no_construction_for_k1():
     r = bound_report(9, 1)
     assert r.upper is None
     assert r.conjecture_value is None
+
+
+def test_bound_report_rejects_valueless_search_result_under_optimize(run_optimized):
+    # the FOUND-implies-value check must not vanish with `python -O`
+    proc = run_optimized(
+        "import dataclasses\n"
+        "from starforest import bound_report, search\n"
+        "real = search.f_exact\n"
+        "search.f_exact = lambda n, k, budget=None: dataclasses.replace(real(n, k, budget), value=None)\n"
+        "bound_report(4, 2, use_search=True)\n"
+    )
+    assert proc.returncode != 0
+    assert "AssertionError: search reported F_2(4) found without a value" in proc.stderr

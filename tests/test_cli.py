@@ -71,6 +71,30 @@ def test_unreadable_input_exit_2(capsys, tmp_path, command, kind):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("kind", ["missing-dir", "target-is-dir"])
+def test_out_write_failure_exit_2_leaves_no_stray_file(capsys, tmp_path, kind):
+    target = tmp_path / "missing" / "x.sfd" if kind == "missing-dir" else tmp_path / "x.sfd"
+    if kind == "target-is-dir":
+        target.mkdir()  # the rename over it fails after the temporary file exists
+    rc, out, err = run(capsys, ["construct", "--family", "k16", "--out", str(target)])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.rstrip().endswith(repr(str(target)))
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == (
+        [] if kind == "missing-dir" else [Path("x.sfd")]
+    )
+
+
+def test_out_writes_target_only(capsys, tmp_path):
+    target = tmp_path / "k16.sfd"
+    target.write_text("stale\n")
+    rc, _, _ = run(capsys, ["construct", "--family", "k16", "--out", str(target)])
+    assert rc == 0
+    assert target.read_text() == (GOLDEN / "k16.sfd").read_text()
+    assert list(tmp_path.iterdir()) == [target]
+
+
 def test_analyze_k27(capsys):
     rc, out, _ = run(capsys, ["analyze", "--in", str(GOLDEN / "k27.sfd")])
     assert rc == 0

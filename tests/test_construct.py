@@ -1,8 +1,3 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 from starforest import (
@@ -245,14 +240,11 @@ def test_provenance_aligned_with_forests():
         assert len(out.provenance) == out.forest_count
 
 
-def test_finalize_rejects_incomplete_table_under_optimize():
+def test_finalize_rejects_incomplete_table_under_optimize(run_optimized):
     # the validation check in _finalize must not vanish with `python -O`
-    code = (
+    proc = run_optimized(
         "from starforest.construct import _finalize\n"
         "_finalize(3, 1, [('a', [(0, [1, 2])])], family='short')\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode != 0
     assert "short: construction failed validation" in proc.stderr

@@ -122,6 +122,23 @@ def test_degree_profile_toy():
     assert prof.degree_sum == 4
 
 
+@pytest.mark.parametrize("degrees,message", [
+    ("[1] * (self.n + 1)", "degree profile counts 4 vertices, n=3"),
+    ("[0] * self.n", "degree sum 0 != 3m - r = 4"),
+], ids=["vertex-count", "degree-sum"])
+def test_degree_profile_identities_checked_under_optimize(run_optimized, degrees, message):
+    # a RootHypergraph whose degrees() disagrees with its hyperedges must be
+    # rejected even with `python -O`
+    proc = run_optimized(
+        "from starforest import RootHypergraph, degree_profile\n"
+        "class Skewed(RootHypergraph):\n"
+        f"    def degrees(self): return {degrees}\n"
+        "degree_profile(Skewed(3, (frozenset({0, 1}), frozenset({0, 2}))))\n"
+    )
+    assert proc.returncode != 0
+    assert f"AssertionError: {message}" in proc.stderr
+
+
 def test_degree_profile_k27():
     # extraction gives nine once-centers (bottom layer) and eighteen twice-centers
     prof = degree_profile(root_hypergraph(k27().decomposition))
