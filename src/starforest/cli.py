@@ -16,7 +16,6 @@ from pathlib import Path
 
 from .bounds import bound_report
 from .construct import (
-    ConstructionOutput,
     blowup,
     broken_double_star,
     conjecture_construction,
@@ -26,7 +25,7 @@ from .construct import (
     k27,
     k4_construction,
 )
-from .core import Decomposition, DecompositionError, NotApplicableError
+from .core import DecompositionError, NotApplicableError
 from .fileio import DecompositionFile, export_dot, export_dot_per_forest, parse, serialize
 from .search import SearchBudget, SearchStatus, exists_decomposition, f_exact
 from .verify import (
@@ -93,43 +92,27 @@ def _budget(args) -> SearchBudget:
 # ---------------------------------------------------------------------------
 
 
+# --family name -> (flags it requires, builder call).  The lambdas look each
+# builder up in this module's globals when called, so a builder patched on this
+# module (as the benchmark's tracer does) is the one that runs.
+_FAMILIES = {
+    "bds": (("t",), lambda a: broken_double_star(a.t)),
+    "f2": (("n",), lambda a: f2_construction(a.n)),
+    "conjecture": (("n", "k"), lambda a: conjecture_construction(a.n, a.k)),
+    "k27": ((), lambda a: k27()),
+    "f3": (("n",), lambda a: f3_construction(a.n)),
+    "k16": ((), lambda a: k16()),
+    "k4gen": (("m",), lambda a: k4_construction(a.m)),
+    "blowup": (("t",), lambda a: blowup(_load(a.infile), a.t)),
+}
+
+
 def cmd_construct(args) -> int:
-    family = args.family
-    if family == "bds":
-        if args.t is None:
-            raise DecompositionError("--t is required for the bds family")
-        out = broken_double_star(args.t)
-    elif family == "f2":
-        _require(args.n, "--n")
-        out = f2_construction(args.n)
-    elif family == "conjecture":
-        _require(args.n, "--n")
-        _require(args.k, "--k")
-        out = conjecture_construction(args.n, args.k)
-    elif family == "k27":
-        out = k27()
-    elif family == "f3":
-        _require(args.n, "--n")
-        out = f3_construction(args.n)
-    elif family == "k16":
-        out = k16()
-    elif family == "k4gen":
-        _require(args.m, "--m")
-        out = k4_construction(args.m)
-    else:  # blowup
-        if args.t is None:
-            raise DecompositionError("--t is required for the blowup family")
-        base = _load(args.infile)
-        base_out = ConstructionOutput(
-            decomposition=base.decomposition,
-            family=base.family or "decomposition",
-            raw_duplicates=base.raw_duplicates,
-            provenance=tuple(
-                name or f"f{j}" for j, name in enumerate(base.provenance or [None] * base.decomposition.forest_count)
-            ),
-            raw_edge_slots=(),
-        )
-        out = blowup(base_out, args.t)
+    flags, build = _FAMILIES[args.family]
+    for flag in flags:
+        if getattr(args, flag) is None:
+            raise DecompositionError(f"--{flag} is required for the {args.family} family")
+    out = build(args)
 
     meta: dict[str, str] = {}
     if out.leftover_matching is not None:
@@ -143,11 +126,6 @@ def cmd_construct(args) -> int:
     )
     _emit(text, args.out)
     return EXIT_OK
-
-
-def _require(value, flag: str) -> None:
-    if value is None:
-        raise DecompositionError(f"{flag} is required for this family")
 
 
 def cmd_verify(args) -> int:
@@ -266,31 +244,23 @@ def cmd_search(args) -> int:
     budget = _budget(args)
     if args.max_forests is not None:
         res = exists_decomposition(args.n, args.k, args.max_forests, budget)
-        if args.json:
-            print(json.dumps({"status": res.status.value, "nodes": res.nodes_explored}, sort_keys=True))
-        else:
-            print(f"status: {res.status.value} (nodes={res.nodes_explored})")
-        if res.status is SearchStatus.FOUND and args.cert:
-            _write_atomic(args.cert, serialize(res.certificate, family="search"))
-        return EXIT_BUDGET if res.status is SearchStatus.BUDGET_EXCEEDED else EXIT_OK
-
-    res = f_exact(args.n, args.k, budget)
-    if args.json:
-        print(json.dumps(
-            {
-                "status": res.status.value,
-                "value": res.value,
-                "interval": list(res.interval),
-                "lower_bound": res.lower_bound,
-                "nodes": res.nodes_explored,
-            },
-            sort_keys=True,
-        ))
-    elif res.status is SearchStatus.FOUND:
-        print(f"F_{args.k}({args.n}) = {res.value} (nodes={res.nodes_explored})")
+        payload = {"status": res.status.value, "nodes": res.nodes_explored}
+        text = f"status: {res.status.value} (nodes={res.nodes_explored})"
     else:
-        print(f"F_{args.k}({args.n}) in [{res.interval[0]}, {res.interval[1]}] "
-              f"(budget exceeded, nodes={res.nodes_explored})")
+        res = f_exact(args.n, args.k, budget)
+        payload = {
+            "status": res.status.value,
+            "value": res.value,
+            "interval": list(res.interval),
+            "lower_bound": res.lower_bound,
+            "nodes": res.nodes_explored,
+        }
+        if res.status is SearchStatus.FOUND:
+            text = f"F_{args.k}({args.n}) = {res.value} (nodes={res.nodes_explored})"
+        else:
+            text = (f"F_{args.k}({args.n}) in [{res.interval[0]}, {res.interval[1]}] "
+                    f"(budget exceeded, nodes={res.nodes_explored})")
+    print(json.dumps(payload, sort_keys=True) if args.json else text)
     if res.certificate is not None and args.cert:
         _write_atomic(args.cert, serialize(res.certificate, family="search"))
     return EXIT_BUDGET if res.status is SearchStatus.BUDGET_EXCEEDED else EXIT_OK
@@ -350,8 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="emit a decomposition from a named family")
-    p.add_argument("--family", required=True,
-                   choices=["bds", "f2", "conjecture", "k27", "f3", "k16", "k4gen", "blowup"])
+    p.add_argument("--family", required=True, choices=list(_FAMILIES))
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--m", type=int)

@@ -20,6 +20,7 @@ from .core import (
     StarForest,
     make_edge,
 )
+from .fileio import DecompositionFile
 from .verify import validate_decomposition
 
 RawStar = tuple[int, list[int]]
@@ -213,7 +214,7 @@ def k27() -> ConstructionOutput:
 # ---------------------------------------------------------------------------
 
 
-def _block_maps(m: int):
+def _block_maps():
     def A(x: int, i: int) -> int:
         return 12 * x + i % 4
 
@@ -230,7 +231,7 @@ def _boundary_cross_table(m: int) -> dict[tuple[str, int], dict[int, list[int]]]
     # The edges between the first and the last A block admit no
     # rotation-symmetric split; this fixed 16-entry table hands each of them
     # to exactly one Y or Z forest.
-    A, _, _ = _block_maps(m)
+    A, _, _ = _block_maps()
     return {
         ("Y", 0): {A(0, 0): [A(m, 0), A(m, 1)], A(0, 1): [A(m, 2), A(m, 3)]},
         ("Y", 1): {A(0, 2): [A(m, 0), A(m, 1)], A(0, 3): [A(m, 2), A(m, 3)]},
@@ -245,7 +246,7 @@ def k16() -> ConstructionOutput:
     The raw tables place 128 edge slots; the eight diagonal edges P(i)P(i+2)
     of the four blocks are each placed twice and deduplicated.
     """
-    A, B, C = _block_maps(1)
+    A, B, C = _block_maps()
 
     def A0(i: int) -> int:
         return A(0, i)
@@ -295,7 +296,7 @@ def k4_construction(m: int) -> ConstructionOutput:
     if m < 1:
         raise PreconditionError("k4_construction needs m >= 1")
     n = 12 * m + 4
-    A, B, C = _block_maps(m)
+    A, B, C = _block_maps()
     named: list[tuple[str, RawForest]] = []
 
     # At segment distance exactly 1 the generic leaf offsets below would land
@@ -415,27 +416,29 @@ def k4_construction(m: int) -> ConstructionOutput:
 # ---------------------------------------------------------------------------
 
 
-def blowup(base: ConstructionOutput | Decomposition, t: int) -> ConstructionOutput:
+def blowup(base: ConstructionOutput | DecompositionFile, t: int) -> ConstructionOutput:
     """Lift a decomposition of K_n to one of K_{tn} with t times as many forests.
 
     Vertex a of the base becomes the cluster {a*t+b : 0 <= b < t}.  Copy b of
     forest j keeps the base stars with every leaf fanned out across its
     cluster, and each center additionally adopts its own other copies.  The
     within-cluster edges are the only ones placed more than once; dedup keeps
-    the first copy in (j, b) order.
+    the first copy in (j, b) order.  Unnamed base forests are called f{j} and
+    a base without a family is called "decomposition".
 
-    Requires the base to use at most n-2 forests, which guarantees every base
-    vertex is a center somewhere, so every cluster's inside edges get placed.
+    Requires a valid base using at most n-2 forests, which guarantees every
+    base vertex is a center somewhere, so every cluster's inside edges get
+    placed.
     """
-    if isinstance(base, ConstructionOutput):
-        d, names, family = base.decomposition, base.provenance, base.family
-    else:
-        d, names, family = base, tuple(f"f{j}" for j in range(base.forest_count)), "decomposition"
+    d, family = base.decomposition, base.family or "decomposition"
+    names = [name or f"f{j}" for j, name in enumerate(base.provenance or (None,) * d.forest_count)]
     if t < 1:
         raise PreconditionError("blowup needs t >= 1")
     m, n = d.forest_count, d.n
     if m > n - 2:
         raise PreconditionError(f"blowup needs at most n-2 forests (m={m}, n={n})")
+    if not validate_decomposition(d).ok:
+        raise PreconditionError("blowup needs a valid base decomposition")
 
     named: list[tuple[str, RawForest]] = []
     for j, forest in enumerate(d.forests):

@@ -44,7 +44,7 @@ class SearchBudget:
     wall_time: float = 600.0
 
     def __post_init__(self) -> None:
-        if self.max_nodes <= 0 or self.wall_time <= 0:
+        if not (self.max_nodes > 0 and self.wall_time > 0):  # also rejects NaN
             raise PreconditionError("budget fields must be positive")
 
 
@@ -65,7 +65,7 @@ _UNUSED, _CENTER, _LEAF = 0, 1, 2
 class _Searcher:
     def __init__(self, n: int, k: int, m: int, budget: SearchBudget):
         self.n, self.k, self.m = n, k, m
-        self.edges = complete_graph_edges(n) if n >= 2 else []
+        self.edges = complete_graph_edges(n)
         self.role = [bytearray(n) for _ in range(m)]
         self.parent = [[-1] * n for _ in range(m)]
         self.nleaf = [[0] * n for _ in range(m)]

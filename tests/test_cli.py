@@ -1,12 +1,15 @@
+import hashlib
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from starforest.cli import main
+from starforest.cli import _FAMILIES, main
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run(capsys, argv):
@@ -22,6 +25,58 @@ def test_construct_then_verify_pipeline(capsys, monkeypatch):
     rc, out2, _ = run(capsys, ["verify"])
     assert rc == 0
     assert "valid: yes" in out2
+
+
+@pytest.mark.parametrize("golden, args", [
+    ("bds_t4.sfd", ["bds", "--t", "4"]),
+    ("f2_n8.sfd", ["f2", "--n", "8"]),
+    ("k16.sfd", ["k16"]),
+    ("k27.sfd", ["k27"]),
+    ("k4gen_m2.sfd", ["k4gen", "--m", "2"]),
+], ids=["bds", "f2", "k16", "k27", "k4gen"])
+def test_construct_matches_golden(capsys, golden, args):
+    rc, out, _ = run(capsys, ["construct", "--family", *args])
+    assert rc == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
+# sha256 of the construct output of families without a golden file; the
+# dispatch in cmd_construct must reproduce them byte for byte
+@pytest.mark.parametrize("args, digest", [
+    (["conjecture", "--n", "16", "--k", "4"], "ada367eed3728bf17d6a9232a283c1e666c516168aa9ce17629bf7f7fd70980d"),
+    (["f3", "--n", "54"], "ff01383a8b20bcfdb5e60184d00436937305f105c2c4c1731a5146045e71cbba"),
+    (["blowup", "--in", str(GOLDEN / "k27.sfd"), "--t", "2"],
+     "5b0b3330cec823db28f9f2b8758bb7505931bdde9ae76d0f1c1b151d596527bf"),
+], ids=["conjecture", "f3", "blowup"])
+def test_construct_output_pinned(capsys, args, digest):
+    rc, out, _ = run(capsys, ["construct", "--family", *args])
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_construct_blowup_anonymous_base(capsys, tmp_path):
+    # unnamed forests fall back to f{j}, a missing family to "decomposition"
+    _, out, _ = run(capsys, ["construct", "--family", "bds", "--t", "4"])
+    lines = [ln for ln in out.splitlines() if ln.split(" ", 1)[0] not in ("family", "meta", "duplicates")]
+    base = tmp_path / "anon.sfd"
+    base.write_text("".join("forest\n" if ln.startswith("forest ") else ln + "\n" for ln in lines))
+    rc, out, _ = run(capsys, ["construct", "--family", "blowup", "--in", str(base), "--t", "2"])
+    assert rc == 0
+    assert "family blowup(decomposition,2)\n" in out
+    assert "forest f0@0\n" in out and "forest f4@1\n" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4604fe17a8f1577a3695b37bbfc84341cc417ad74a0c728101dbb3f3b7550eb9"
+    )
+
+
+def test_construct_blowup_invalid_base_exit_2(capsys, tmp_path):
+    text = (GOLDEN / "k27.sfd").read_text()
+    bad = tmp_path / "k27-minus-leaf.sfd"
+    bad.write_text(text.replace("star 0 : 3 9 ", "star 0 : 9 ", 1))
+    rc, out, err = run(capsys, ["construct", "--family", "blowup", "--in", str(bad), "--t", "2"])
+    assert rc == 2
+    assert out == ""
+    assert err == "error: blowup needs a valid base decomposition\n"
 
 
 def test_construct_byte_determinism(capsys):
@@ -122,6 +177,15 @@ def test_search_exists_mode(capsys):
     assert "exhausted-not-found" in out
 
 
+@pytest.mark.parametrize("command", ["search", "bounds"])
+def test_nan_timeout_exit_2(capsys, command):
+    extra = ["--with-search"] if command == "bounds" else []
+    rc, out, err = run(capsys, [command, "--n", "5", "--k", "2", *extra, "--timeout", "nan"])
+    assert rc == 2
+    assert out == ""
+    assert err == "error: budget fields must be positive\n"
+
+
 def test_search_budget_exit_code(capsys):
     rc, out, _ = run(capsys, ["search", "--n", "6", "--k", "2", "--max-nodes", "5"])
     assert rc == 3
@@ -208,9 +272,32 @@ def test_construct_remaining_families(capsys, tmp_path):
         assert f"forests={forests}" in vout
 
 
-def test_usage_errors_exit_2(capsys):
+def test_invalid_family_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["construct", "--family", "nosuch"])
     assert exc.value.code == 2
-    rc, _, err = run(capsys, ["construct", "--family", "f2"])  # missing --n
+
+
+REQUIRED_FLAGS = {"bds": ("t",), "f2": ("n",), "conjecture": ("n", "k"), "f3": ("n",),
+                  "k4gen": ("m",), "blowup": ("t",)}
+
+
+# every required flag of every family, omitted while the others are given
+@pytest.mark.parametrize("family, missing", [
+    (family, flag) for family, flags in REQUIRED_FLAGS.items() for flag in flags
+])
+def test_usage_errors_exit_2(capsys, family, missing):
+    given = [arg for flag in REQUIRED_FLAGS[family] if flag != missing for arg in (f"--{flag}", "4")]
+    rc, out, err = run(capsys, ["construct", "--family", family, *given])
     assert rc == 2
+    assert out == ""
+    assert err == f"error: --{missing} is required for the {family} family\n"
+
+
+def test_readme_lists_every_family():
+    text = README.read_text()
+    para = text[text.index("Families:"):].split("\n\n", 1)[0]
+    entries = re.findall(r"`([^`]+)`", para)
+    assert [e.split()[0] for e in entries] == list(_FAMILIES)
+    for entry, (flags, _) in zip(entries, _FAMILIES.values()):
+        assert set(re.findall(r"--(\w+)", entry)) >= set(flags)

@@ -15,6 +15,7 @@ from starforest import (
     root_hypergraph,
     validate_decomposition,
 )
+from starforest.fileio import parse, serialize
 
 
 def expected_k4_duplicates(m: int) -> list[tuple[int, int]]:
@@ -225,6 +226,12 @@ def test_blowup_composes():
     direct = blowup(base, 4)
     assert once.forest_count == direct.forest_count == 20
     assert once.decomposition.n == direct.decomposition.n == 32
+
+
+def test_blowup_of_parsed_file_matches_construction_output():
+    base = k27()
+    parsed = parse(serialize(base.decomposition, family=base.family, provenance=base.provenance))
+    assert blowup(parsed, 2) == blowup(base, 2)
 
 
 def test_f3_construction_counts():

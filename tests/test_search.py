@@ -141,6 +141,8 @@ def test_search_parameter_validation():
         exists_decomposition(0, 1, 1)
     with pytest.raises(PreconditionError):
         SearchBudget(max_nodes=0)
+    with pytest.raises(PreconditionError):
+        SearchBudget(wall_time=float("nan"))
 
 
 # ---------------------------------------------------------------------------
