@@ -139,8 +139,8 @@ def cmd_verify(args) -> int:
             "forests": f.decomposition.forest_count,
             "total_edges": report.coverage.total_edges,
             "covered_once": report.coverage.total_edges - len(report.coverage.missing),
-            "missing": [list(e) for e in report.coverage.missing],
-            "duplicated": [[list(e), c] for e, c in report.coverage.duplicated],
+            "missing": report.coverage.missing,
+            "duplicated": report.coverage.duplicated,
             "malformed": list(report.malformed),
             "k_violations": list(report.k_violations),
         }
@@ -199,7 +199,7 @@ def cmd_analyze(args) -> int:
     except NotApplicableError as exc:
         payload["counting"] = {"not_applicable": str(exc)}
     try:
-        placement = check_degree1_placement(d)
+        placement = check_degree1_placement(d, report=report)
         payload["degree1_placement"] = {
             "ok": placement.ok,
             "shared_degree1": [[fi, list(vs)] for fi, vs in placement.shared_degree1],
@@ -208,7 +208,7 @@ def cmd_analyze(args) -> int:
     except (NotApplicableError, DecompositionError) as exc:
         payload["degree1_placement"] = {"not_applicable": str(exc)}
     try:
-        payload["broken_double_star"] = is_broken_double_star(d)
+        payload["broken_double_star"] = is_broken_double_star(d, report=report)
     except NotApplicableError as exc:
         payload["broken_double_star"] = f"not applicable: {exc}"
 

@@ -428,7 +428,8 @@ def blowup(base: ConstructionOutput | DecompositionFile, t: int) -> Construction
 
     Requires a valid base using at most n-2 forests, which guarantees every
     base vertex is a center somewhere, so every cluster's inside edges get
-    placed.
+    placed.  A ``ConstructionOutput`` was validated by ``_finalize`` when it
+    was built, so only another base, such as a parsed file, is validated here.
     """
     d, family = base.decomposition, base.family or "decomposition"
     names = [name or f"f{j}" for j, name in enumerate(base.provenance or (None,) * d.forest_count)]
@@ -437,7 +438,7 @@ def blowup(base: ConstructionOutput | DecompositionFile, t: int) -> Construction
     m, n = d.forest_count, d.n
     if m > n - 2:
         raise PreconditionError(f"blowup needs at most n-2 forests (m={m}, n={n})")
-    if not validate_decomposition(d).ok:
+    if not isinstance(base, ConstructionOutput) and not validate_decomposition(d).ok:
         raise PreconditionError("blowup needs a valid base decomposition")
 
     named: list[tuple[str, RawForest]] = []

@@ -14,7 +14,9 @@ checks used across the test suite:
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import repeat
 
 from .core import (
     Decomposition,
@@ -22,7 +24,6 @@ from .core import (
     NotApplicableError,
     PreconditionError,
     StarForest,
-    complete_graph_edges,
     make_edge,
 )
 
@@ -66,11 +67,32 @@ def validate_decomposition(d: Decomposition) -> ValidationReport:
                 multiplicity[make_edge(star.center, leaf)] += 1
     k_violations = tuple(fi for fi, f in enumerate(d.forests) if len(f.stars) > d.k)
 
-    missing = tuple(e for e in complete_graph_edges(n) if e not in multiplicity)
-    duplicated = tuple((e, c) for e, c in sorted(multiplicity.items()) if c > 1)
+    missing = tuple(_missing_edges(n, multiplicity))
+    duplicated = tuple(sorted((e, c) for e, c in multiplicity.items() if c > 1))
     coverage = CoverageReport(total_edges=n * (n - 1) // 2, missing=missing, duplicated=duplicated)
     ok = not malformed and not k_violations and not missing and not duplicated
     return ValidationReport(ok=ok, malformed=tuple(malformed), k_violations=k_violations, coverage=coverage)
+
+
+def _missing_edges(n: int, covered: Iterable[Edge]) -> list[Edge]:
+    """Edges of K_n absent from ``covered``, in lexicographic order.
+
+    Covered in-range edges are indexed by their lower endpoint, in a dict that
+    holds only rows with a covered edge, so the index is bounded by the input.
+    A row with no covered edge is emitted whole; a full row is skipped.
+    """
+    rows: dict[int, set[int]] = {}
+    for u, v in covered:
+        if v < n:
+            rows.setdefault(u, set()).add(v)
+    missing: list[Edge] = []
+    for u in range(n):
+        row = rows.get(u)
+        if row is None:
+            missing.extend(zip(repeat(u), range(u + 1, n)))
+        elif len(row) < n - 1 - u:
+            missing.extend((u, v) for v in range(u + 1, n) if v not in row)
+    return missing
 
 
 @dataclass(frozen=True)
@@ -221,7 +243,7 @@ class Degree1PlacementReport:
     pinched_degree2: tuple[tuple[int, int, int], ...]
 
 
-def check_degree1_placement(d: Decomposition) -> Degree1PlacementReport:
+def check_degree1_placement(d: Decomposition, *, report: ValidationReport | None = None) -> Degree1PlacementReport:
     """Center-placement conditions on degree-1 vertices of a valid decomposition.
 
     (1) no hyperedge may contain two degree-1 vertices; (2) the two hyperedges
@@ -229,11 +251,17 @@ def check_degree1_placement(d: Decomposition) -> Degree1PlacementReport:
     failure on a genuinely valid decomposition would break the coverage
     argument, so test suites treat any violation as fatal.
 
+    ``report``, if given, must be ``validate_decomposition(d)``; a caller that
+    already holds it saves a second validation.  Without it, ``d`` is
+    validated here.
+
     Raises:
         PreconditionError: if the decomposition is not valid.
         NotApplicableError: if m >= n-1 or some hyperedge has fewer than 2 vertices.
     """
-    if not validate_decomposition(d).ok:
+    if report is None:
+        report = validate_decomposition(d)
+    if not report.ok:
         raise PreconditionError("placement checks need a valid decomposition")
     rh = root_hypergraph(d)
     if rh.m >= d.n - 1:
@@ -265,12 +293,16 @@ def check_degree1_placement(d: Decomposition) -> Degree1PlacementReport:
     return Degree1PlacementReport(ok=not shared and not pinched, shared_degree1=tuple(shared), pinched_degree2=tuple(pinched))
 
 
-def is_broken_double_star(d: Decomposition) -> bool:
+def is_broken_double_star(d: Decomposition, *, report: ValidationReport | None = None) -> bool:
     """Recognize the unique (t+1)-forest decomposition of K_{2t}.
 
     Shape: t spanning two-star forests whose centers pair antipodal vertices,
     plus one forest consisting of the antipodal perfect matching.  Recognition
     reconstructs the cyclic vertex order instead of trying all relabelings.
+
+    ``report``, if given, must be ``validate_decomposition(d)``; a caller that
+    already holds it saves a second validation.  Without it, ``d`` is
+    validated here, and only once it has the (t+1)-forest shape.
 
     Raises:
         NotApplicableError: for odd n.
@@ -280,7 +312,9 @@ def is_broken_double_star(d: Decomposition) -> bool:
     t = d.n // 2
     if t < 2 or len(d.forests) != t + 1:
         return False
-    if not validate_decomposition(d).ok:
+    if report is None:
+        report = validate_decomposition(d)
+    if not report.ok:
         return False
 
     for mi, matching_forest in enumerate(d.forests):

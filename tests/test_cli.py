@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from starforest import PreconditionError, check_degree1_placement, cli, is_broken_double_star, verify
 from starforest.cli import _FAMILIES, main
+from starforest.fileio import parse
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
@@ -249,6 +251,87 @@ def test_analyze_json(capsys):
     assert payload["degree_profile"]["r"] == 0
     assert payload["degree_profile"]["p"] == {"1": 9, "2": 18}
     assert payload["counting"]["slack"] == 0
+
+
+def pinned_input(name: str, tmp_path) -> Path:
+    """A golden file, or one of three defective inputs derived from the goldens."""
+    if name in ("bds_t4", "k27"):
+        return GOLDEN / f"{name}.sfd"
+    if name == "empty60":
+        text = "decomposition v1\nn 60\nk 4\n"
+    elif name == "k27_dropped":  # the last leaf (14) of the first star deleted
+        lines = (GOLDEN / "k27.sfd").read_text().split("\n")
+        first = next(i for i, ln in enumerate(lines) if ln.startswith("star "))
+        lines[first] = lines[first].rsplit(" ", 1)[0]
+        text = "\n".join(lines)
+    else:  # bds_t4_extra: the first star repeated as a new last line
+        text = (GOLDEN / "bds_t4.sfd").read_text() + "star 0 : 1 2 3\n"
+    path = tmp_path / f"{name}.sfd"
+    path.write_text(text)
+    return path
+
+
+# stdout sha256 and exit code of `starforest <command> --in <input>`, recorded
+# before the validator's missing/duplicated scans and verify's JSON were rewritten
+OUTPUT_PINS = [
+    ("empty60", "verify --json", 1, "83797bda885bfc115ed7bd4cd0c31c0512be737e5a2a882f6c74d5aa55f9784e"),
+    ("empty60", "verify", 1, "44f9f931576a9f55a6ae71e7e4563297832d778d03ee4a5d4eaf4590b33e9192"),
+    ("empty60", "analyze --json", 0, "01ec5721dce4a6d9cb3f34b30436e4178502f4bd508359243560015bb8ca0f1c"),
+    ("empty60", "analyze", 0, "0b57e22be760aedb6c74e6a6331a3108a719b7723b92167b8fa8039fee4735d9"),
+    ("k27_dropped", "verify --json", 1, "a17e28d4f0e40477281fcaed4a82162177866edc320548c495395f59c10d6d7b"),
+    ("k27_dropped", "verify", 1, "904c27cc95d8b944a161808874355f73653180e2319fd7cbd309084d6f0edc97"),
+    ("k27_dropped", "analyze --json", 0, "59ba231431dfbaf27075935b8c9dec92b651fb41c0453973f1ff1cc9dfe1e88c"),
+    ("k27_dropped", "analyze", 0, "95e729ac4986d12eda2e4c8a4cb1e6422123f1d2ebee13a6727d62f22b38a982"),
+    ("bds_t4_extra", "verify --json", 1, "0d7b1f2ccdb4fcf19ab90551aeb60d3e25f12c54df430dde6d030aa564925c2a"),
+    ("bds_t4_extra", "verify", 1, "4de8136f5f75912f8d694447331de56794ee4e562da670b42a5d34eb3ac7727a"),
+    ("bds_t4_extra", "analyze --json", 0, "f1338ad43c8729360b75b4cd7db44f65b3480e875bf4b1228e07d6cfa7a10166"),
+    ("bds_t4_extra", "analyze", 0, "88f0c7bd775ab307838f8999abcc287957fe52cd819f8028e871d31bbdecb378"),
+    ("bds_t4", "analyze --json", 0, "81a9a210eba1dcafd1b9f7a850c8f2d4a907d91b7d6b5b6a54d52e0cc714bfa6"),
+    ("k27", "analyze --json", 0, "21d28cccf3ccee89f346cd01b5c26c9fa0d1d1ee28f03f6c647f0b8e21f9a6c7"),
+]
+
+
+@pytest.mark.parametrize("name, command, rc, digest", OUTPUT_PINS,
+                         ids=[f"{name}-{command.replace(' --', '-')}" for name, command, _, _ in OUTPUT_PINS])
+def test_verify_analyze_output_pinned(capsys, tmp_path, name, command, rc, digest):
+    code, out, err = run(capsys, [*command.split(), "--in", str(pinned_input(name, tmp_path))])
+    assert (code, err) == (rc, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, placement, bds", [
+    ("k27", {"ok": True, "pinched_degree2": [], "shared_degree1": []},
+     "not applicable: only defined for even vertex counts"),
+    ("bds_t4", {"ok": True, "pinched_degree2": [], "shared_degree1": []}, True),
+    ("k27_dropped", {"not_applicable": "placement checks need a valid decomposition"},
+     "not applicable: only defined for even vertex counts"),
+    ("bds_t4_extra", {"not_applicable": "placement checks need a valid decomposition"}, False),
+], ids=["k27", "bds_t4", "k27_dropped", "bds_t4_extra"])
+def test_analyze_validates_once(capsys, monkeypatch, tmp_path, name, placement, bds):
+    # the placement check and the (t+1)-forest double-star recognizer reuse
+    # the report that analyze already has, valid or not
+    calls = []
+
+    def counted(d, _validate=verify.validate_decomposition):
+        calls.append(d)
+        return _validate(d)
+
+    monkeypatch.setattr(cli, "validate_decomposition", counted)
+    monkeypatch.setattr(verify, "validate_decomposition", counted)
+    rc, out, _ = run(capsys, ["analyze", "--json", "--in", str(pinned_input(name, tmp_path))])
+    assert rc == 0
+    assert len(calls) == 1
+    payload = json.loads(out)
+    assert (payload["degree1_placement"], payload["broken_double_star"]) == (placement, bds)
+
+
+def test_checks_validate_without_report(tmp_path):
+    dropped = parse(pinned_input("k27_dropped", tmp_path).read_text()).decomposition
+    with pytest.raises(PreconditionError, match="^placement checks need a valid decomposition$"):
+        check_degree1_placement(dropped)
+    extra = parse(pinned_input("bds_t4_extra", tmp_path).read_text()).decomposition
+    assert not is_broken_double_star(extra)
+    assert is_broken_double_star(parse((GOLDEN / "bds_t4.sfd").read_text()).decomposition)
 
 
 def test_search_json(capsys):

@@ -5,6 +5,7 @@ from starforest import (
     blowup,
     broken_double_star,
     conjecture_construction,
+    construct,
     degree_profile,
     f2_construction,
     f3_construction,
@@ -232,6 +233,19 @@ def test_blowup_of_parsed_file_matches_construction_output():
     base = k27()
     parsed = parse(serialize(base.decomposition, family=base.family, provenance=base.provenance))
     assert blowup(parsed, 2) == blowup(base, 2)
+
+
+def test_blowup_validates_only_a_base_not_yet_validated(monkeypatch):
+    # _finalize validates k27 and each blowup; blowup's precondition adds a
+    # validation for a parsed base only, not for a ConstructionOutput
+    parsed = parse(serialize(k27().decomposition))
+    calls = []
+    monkeypatch.setattr(construct, "validate_decomposition", lambda d: calls.append(d.n) or validate_decomposition(d))
+    f3_construction(54)
+    assert calls == [27, 54]
+    calls.clear()
+    blowup(parsed, 2)
+    assert calls == [27, 54]
 
 
 def test_f3_construction_counts():

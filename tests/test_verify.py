@@ -1,6 +1,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starforest import (
     CoverageReport,
@@ -14,6 +16,7 @@ from starforest import (
     check_counting_inequality,
     check_degree1_placement,
     check_no_isolated,
+    complete_graph_edges,
     conjecture_construction,
     degree_profile,
     f2_construction,
@@ -80,6 +83,55 @@ def test_validate_out_of_range_vertex():
     assert rep.malformed == ("forest 0: vertex 1 out of range for n=1",)
     assert rep.coverage == CoverageReport(total_edges=0, missing=(), duplicated=())
     assert not rep.ok
+
+
+def brute_coverage(d: Decomposition) -> tuple[tuple, tuple]:
+    """Missing and duplicated edges straight from their definitions, by list scans."""
+    covered = [tuple(sorted((s.center, leaf))) for f in d.forests for s in f.stars for leaf in s.leaves]
+    missing = tuple(e for e in complete_graph_edges(d.n) if e not in covered)
+    duplicated = tuple((e, covered.count(e)) for e in sorted(set(covered)) if covered.count(e) > 1)
+    return missing, duplicated
+
+
+def assert_coverage_matches_oracle(d: Decomposition) -> None:
+    cov = validate_decomposition(d).coverage
+    assert (cov.missing, cov.duplicated) == brute_coverage(d)
+    assert type(cov.missing) is tuple and type(cov.duplicated) is tuple
+
+
+def one_star_forests(n: int, stars) -> Decomposition:
+    return Decomposition(n=n, k=1, forests=tuple(StarForest((Star(c, tuple(ls)),)) for c, ls in stars))
+
+
+@pytest.mark.parametrize("n, stars", [
+    (1, []),
+    (2, []),
+    (12, []),
+    (1, [(0, [1]), (0, [1])]),  # only an out-of-range edge, duplicated
+    (2, [(0, [1]), (1, [0])]),
+    (4, [(0, [5]), (6, [1]), (3, [4]), (1, [5]), (5, [1])]),  # out of range covers nothing in K_4
+    (6, [(0, [1, 2, 3, 4, 5]), (0, [5]), (1, [2, 3, 4, 5]), (3, [5]), (4, [5]), (4, [5])]),  # full, empty, partial rows
+], ids=["n1", "n2", "empty12", "n1-stray-dup", "n2-dup", "out-of-range", "rows"])
+def test_coverage_matches_oracle_cases(n, stars):
+    assert_coverage_matches_oracle(one_star_forests(n, stars))
+
+
+@st.composite
+def partial_claims(draw):
+    n = draw(st.integers(1, 9))
+    # a staircase with some leaves dropped gives full, partial and empty rows
+    stairs = [(u, draw(st.lists(st.integers(u + 1, n - 1), unique=True, max_size=n - 1 - u))) for u in range(n - 1)]
+    # extra stars duplicate edges and reach vertices n..n+2, outside K_n
+    vertex = st.integers(0, n + 2)
+    extra = draw(st.lists(st.tuples(vertex, st.lists(vertex, unique=True, min_size=1, max_size=4)), max_size=6))
+    stars = [(c, [v for v in ls if v != c]) for c, ls in stairs + extra]
+    return one_star_forests(n, [(c, ls) for c, ls in stars if ls])
+
+
+@settings(max_examples=300, deadline=None)
+@given(partial_claims())
+def test_coverage_matches_oracle(d):
+    assert_coverage_matches_oracle(d)
 
 
 def test_validate_component_bound():
