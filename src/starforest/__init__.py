@@ -46,7 +46,6 @@ from .fileio import (
     export_dot_per_forest,
     parse,
     serialize,
-    serialize_file,
 )
 from .search import (
     FExactResult,

@@ -214,74 +214,14 @@ def k27() -> ConstructionOutput:
 # ---------------------------------------------------------------------------
 
 
-def _block_maps():
-    def A(x: int, i: int) -> int:
-        return 12 * x + i % 4
-
-    def B(x: int, i: int) -> int:
-        return 12 * x + 4 + i % 4
-
-    def C(x: int, i: int) -> int:
-        return 12 * x + 8 + i % 4
-
-    return A, B, C
-
-
-def _boundary_cross_table(m: int) -> dict[tuple[str, int], dict[int, list[int]]]:
-    # The edges between the first and the last A block admit no
-    # rotation-symmetric split; this fixed 16-entry table hands each of them
-    # to exactly one Y or Z forest.
-    A, _, _ = _block_maps()
-    return {
-        ("Y", 0): {A(0, 0): [A(m, 0), A(m, 1)], A(0, 1): [A(m, 2), A(m, 3)]},
-        ("Y", 1): {A(0, 2): [A(m, 0), A(m, 1)], A(0, 3): [A(m, 2), A(m, 3)]},
-        ("Z", 0): {A(m, 0): [A(0, 1), A(0, 3)], A(m, 2): [A(0, 0), A(0, 2)]},
-        ("Z", 1): {A(m, 1): [A(0, 1), A(0, 3)], A(m, 3): [A(0, 0), A(0, 2)]},
-    }
-
-
 def k16() -> ConstructionOutput:
     """Decomposition of K_16 into ten 4-star-forests over blocks A0, B, C, A1.
 
-    The raw tables place 128 edge slots; the eight diagonal edges P(i)P(i+2)
-    of the four blocks are each placed twice and deduplicated.
+    K_16 is the m=1 member of the 12m+4 family, kept under its own family
+    name.  The raw tables place 128 edge slots; the eight diagonal edges
+    P(i)P(i+2) of the four blocks are each placed twice and deduplicated.
     """
-    A, B, C = _block_maps()
-
-    def A0(i: int) -> int:
-        return A(0, i)
-
-    def A1(i: int) -> int:
-        return A(1, i)
-
-    named: list[tuple[str, RawForest]] = []
-    for i in range(4):
-        named.append((f"X(0,{i})", [
-            (A0(i), [A0(i - 1)]),
-            (B(0, i), [A0(i + 2), B(0, i - 1), B(0, i + 2), C(0, i + 1), A1(i + 1)]),
-            (C(0, i), [A0(i + 1), B(0, i + 1), C(0, i - 1), C(0, i + 2), A1(i - 1)]),
-            (A1(i), [A1(i + 2)]),
-        ]))
-    named.append(("B(0)", [(B(0, i), [A0(i), C(0, i + 2), A1(i)]) for i in range(4)]))
-    named.append(("C(0)", [(C(0, i), [A0(i - 1), B(0, i), A1(i)]) for i in range(4)]))
-
-    cross = _boundary_cross_table(1)
-    for fi in range(2):
-        stars: RawForest = []
-        for j in (2 * fi, 2 * fi + 1):
-            leaves = [B(0, j - 1), B(0, j + 1), C(0, j), C(0, j + 2), A0(j + 2)]
-            leaves += cross[("Y", fi)][A0(j)]
-            stars.append((A0(j), leaves))
-        named.append((f"Y({fi})", stars))
-    for fi in range(2):
-        stars = []
-        for j in (fi, fi + 2):
-            leaves = [B(0, j + 1), B(0, j + 2), C(0, j - 1), C(0, j + 2), A1(j + 1)]
-            leaves += cross[("Z", fi)][A1(j)]
-            stars.append((A1(j), leaves))
-        named.append((f"Z({fi})", stars))
-
-    return _finalize(16, 4, named, family="k16", labels=LabelScheme("block12m4", 1))
+    return replace(k4_construction(1), family="k16")
 
 
 def k4_construction(m: int) -> ConstructionOutput:
@@ -296,7 +236,16 @@ def k4_construction(m: int) -> ConstructionOutput:
     if m < 1:
         raise PreconditionError("k4_construction needs m >= 1")
     n = 12 * m + 4
-    A, B, C = _block_maps()
+
+    def A(x: int, i: int) -> int:
+        return 12 * x + i % 4
+
+    def B(x: int, i: int) -> int:
+        return 12 * x + 4 + i % 4
+
+    def C(x: int, i: int) -> int:
+        return 12 * x + 8 + i % 4
+
     named: list[tuple[str, RawForest]] = []
 
     # At segment distance exactly 1 the generic leaf offsets below would land
@@ -376,7 +325,15 @@ def k4_construction(m: int) -> ConstructionOutput:
             cstars.append((C(k, i), leaves))
         named.append((f"C({k})", cstars))
 
-    cross = _boundary_cross_table(m)
+    # The edges between the first and the last A block admit no
+    # rotation-symmetric split; this fixed 16-entry table hands each of them
+    # to exactly one Y or Z forest.
+    cross = {
+        ("Y", 0): {A(0, 0): [A(m, 0), A(m, 1)], A(0, 1): [A(m, 2), A(m, 3)]},
+        ("Y", 1): {A(0, 2): [A(m, 0), A(m, 1)], A(0, 3): [A(m, 2), A(m, 3)]},
+        ("Z", 0): {A(m, 0): [A(0, 1), A(0, 3)], A(m, 2): [A(0, 0), A(0, 2)]},
+        ("Z", 1): {A(m, 1): [A(0, 1), A(0, 3)], A(m, 3): [A(0, 0), A(0, 2)]},
+    }
     for fi in range(2):
         stars: RawForest = []
         for j in (2 * fi, 2 * fi + 1):

@@ -63,14 +63,10 @@ class Star:
             raise MalformedStarError(f"negative vertex id in star centered at {self.center}")
         if not self.leaves:
             raise MalformedStarError(f"star centered at {self.center} has no leaves")
-        if len(set(self.leaves)) != len(self.leaves):
-            raise MalformedStarError(f"star centered at {self.center} repeats a leaf")
         if self.center in self.leaves:
-            raise MalformedStarError(f"star centered at {self.center} lists its center as a leaf")
-
-    @property
-    def vertices(self) -> frozenset[int]:
-        return frozenset((self.center, *self.leaves))
+            raise MalformedStarError(f"star with center {self.center} lists the center as a leaf")
+        if len(set(self.leaves)) != len(self.leaves):
+            raise MalformedStarError(f"star with center {self.center} repeats a leaf")
 
     def edges(self) -> list[Edge]:
         return [make_edge(self.center, leaf) for leaf in self.leaves]

@@ -30,6 +30,7 @@ from .core import (
     Edge,
     LabelScheme,
     LabelSchemeError,
+    MalformedStarError,
     Star,
     StarForest,
 )
@@ -76,16 +77,6 @@ def serialize(
         for star in forest.stars:
             lines.append(f"star {star.center} : " + " ".join(str(v) for v in star.leaves))
     return "\n".join(lines) + "\n"
-
-
-def serialize_file(f: DecompositionFile) -> str:
-    return serialize(
-        f.decomposition,
-        family=f.family,
-        provenance=f.provenance or None,
-        raw_duplicates=f.raw_duplicates,
-        meta=f.meta,
-    )
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:
@@ -171,13 +162,10 @@ def parse(text: str) -> DecompositionFile:
             for v in (center, *leaves):
                 if v >= n:
                     raise ParseError(f"line {lineno}: vertex {v} out of range for n={n}")
-            if center in leaves:
-                raise ParseError(
-                    f"line {lineno}: star with center {center} lists the center as a leaf"
-                )
-            if len(set(leaves)) != len(leaves):
-                raise ParseError(f"line {lineno}: star with center {center} repeats a leaf")
-            forests[-1].append(Star(center, tuple(leaves)))
+            try:
+                forests[-1].append(Star(center, tuple(leaves)))
+            except MalformedStarError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
         else:
             raise ParseError(f"line {lineno}: unknown directive {directive!r}")
 

@@ -228,7 +228,6 @@ class FExactResult:
     certificate: Decomposition | None
     attempts: tuple[tuple[int, SearchStatus], ...]
     lower_bound: int
-    lower_bound_source: str
     interval: tuple[int, int]  # best bracketing [lb, ub] on the minimum
     nodes_explored: int
 
@@ -245,9 +244,9 @@ def f_exact(n: int, k: int, budget: SearchBudget | None = None) -> FExactResult:
     budget = budget or SearchBudget()
     if n == 1:
         empty = Decomposition(n=1, k=k, forests=())
-        return FExactResult(n, k, SearchStatus.FOUND, 0, empty, (), 0, "trivial", (0, 0), 0)
+        return FExactResult(n, k, SearchStatus.FOUND, 0, empty, (), 0, (0, 0), 0)
 
-    lb, lb_tag = safe_lower_bound(n, k)
+    lb, _ = safe_lower_bound(n, k)
     deadline = time.monotonic() + budget.wall_time
     nodes_left = budget.max_nodes
     nodes_total = 0
@@ -256,15 +255,15 @@ def f_exact(n: int, k: int, budget: SearchBudget | None = None) -> FExactResult:
         time_left = deadline - time.monotonic()
         if time_left <= 0 or nodes_left <= 0:
             return FExactResult(n, k, SearchStatus.BUDGET_EXCEEDED, None, None,
-                                tuple(attempts), lb, lb_tag, (m, n - 1), nodes_total)
+                                tuple(attempts), lb, (m, n - 1), nodes_total)
         res = exists_decomposition(n, k, m, SearchBudget(max_nodes=nodes_left, wall_time=time_left))
         attempts.append((m, res.status))
         nodes_total += res.nodes_explored
         nodes_left -= res.nodes_explored
         if res.status is SearchStatus.FOUND:
             return FExactResult(n, k, SearchStatus.FOUND, m, res.certificate,
-                                tuple(attempts), lb, lb_tag, (m, m), nodes_total)
+                                tuple(attempts), lb, (m, m), nodes_total)
         if res.status is SearchStatus.BUDGET_EXCEEDED:
             return FExactResult(n, k, SearchStatus.BUDGET_EXCEEDED, None, None,
-                                tuple(attempts), lb, lb_tag, (m, n - 1), nodes_total)
+                                tuple(attempts), lb, (m, n - 1), nodes_total)
     raise AssertionError("unreachable: n-1 single stars always decompose K_n")

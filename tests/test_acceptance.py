@@ -13,6 +13,7 @@ assertion is kept verbatim rather than weakened."""
 import io
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -98,7 +99,7 @@ def test_criterion_2_k16():
 
 def test_criterion_3_k4_family():
     with criterion("3", "k4gen m=1..10 valid, dup accounting exact, m=1 == k16", 30.0):
-        base = k16()
+        golden = parse((GOLDEN / "k16.sfd").read_text())
         for m in range(1, 11):
             out = k4_construction(m)
             n = 12 * m + 4
@@ -113,9 +114,10 @@ def test_criterion_3_k4_family():
             assert list(out.raw_duplicates) == expected_dups
             assert sum(out.raw_edge_slots) == n * n // 2
         one = k4_construction(1)
-        for fa, fb in zip(base.decomposition.forests, one.decomposition.forests):
-            assert sorted(forest_edges(fa)) == sorted(forest_edges(fb))
-        assert base.raw_duplicates == one.raw_duplicates
+        assert one.decomposition == golden.decomposition
+        assert one.provenance == golden.provenance
+        assert one.raw_duplicates == golden.raw_duplicates
+        assert k16() == replace(one, family="k16")
 
 
 def test_criterion_4_blowup():

@@ -2,13 +2,16 @@ import hashlib
 import io
 import json
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starforest import PreconditionError, check_degree1_placement, cli, is_broken_double_star, verify
 from starforest.cli import _FAMILIES, main
-from starforest.fileio import parse
+from starforest.fileio import ParseError, parse
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
@@ -384,3 +387,76 @@ def test_readme_lists_every_family():
     assert [e.split()[0] for e in entries] == list(_FAMILIES)
     for entry, (flags, _) in zip(entries, _FAMILIES.values()):
         assert set(re.findall(r"--(\w+)", entry)) >= set(flags)
+
+
+# stderr and exit code of `verify --in` on one malformed star, as the parser
+# reported them while it still repeated the Star checks itself
+@pytest.mark.parametrize("star, problem", [
+    ("star 1 : 0 1", "star with center 1 lists the center as a leaf"),
+    ("star 0 : 1 1", "star with center 0 repeats a leaf"),
+    ("star 1 : 1 1", "star with center 1 lists the center as a leaf"),
+    ("star 0 : 2 3 2", "star with center 0 repeats a leaf"),
+    ("star 3 : 3", "star with center 3 lists the center as a leaf"),
+])
+def test_verify_malformed_star_stderr_pinned(capsys, tmp_path, star, problem):
+    path = tmp_path / "bad.sfd"
+    path.write_text(f"decomposition v1\nn 4\nk 2\nforest\n{star}\n")
+    assert run(capsys, ["verify", "--in", str(path)]) == (2, "", f"error: line 5: {problem}\n")
+
+
+_INTS = [str(i) for i in range(-3, 13)]
+_SOUP_TOKENS = st.sampled_from([
+    "n", "k", "labels", "family", "meta", "duplicates", "forest", "star", ":",
+    "plain", "f3cube", "block12m4", "#", "x", "1.5", "0x1", "+3", "-", "--",
+    "0-1", "2-1", "3-3", "-1-2", "1-11", *_INTS,
+])
+# free soup, or a star line with random vertex ids so the star checks are reached
+_SOUP_LINES = st.one_of(
+    st.lists(_SOUP_TOKENS, max_size=6),
+    st.lists(st.sampled_from(_INTS), min_size=1, max_size=6).map(lambda t: ["star", t[0], ":", *t[1:]]),
+).map(" ".join)
+
+
+@st.composite
+def token_soups(draw):
+    """A valid header, sometimes with n, k and a forest, then lines of random tokens."""
+    head = "decomposition v1\n" + ("n 8\nk 3\nforest\n" if draw(st.booleans()) else "")
+    return head + "\n".join(draw(st.lists(_SOUP_LINES, max_size=8))) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=token_soups())
+def test_parse_and_verify_survive_token_soup(tmp_path_factory, text):
+    # parse returns or raises ParseError; verify exits 0, 1 or 2 and reports a
+    # parse error as exactly one stderr line
+    try:
+        parse(text)
+        parse_error = None
+    except ParseError as exc:
+        parse_error = f"error: {exc}\n"
+    path = tmp_path_factory.getbasetemp() / "soup.sfd"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(["verify", "--in", str(path)])
+    assert rc in (0, 1, 2)
+    if parse_error is not None:
+        assert (rc, out.getvalue(), err.getvalue()) == (2, "", parse_error)
+
+
+def test_module_entry_point_construct(run_module):
+    proc = run_module("construct", "--family", "k16")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (GOLDEN / "k16.sfd").read_text()
+
+
+def test_module_entry_point_verify_directory_exit_2(run_module, tmp_path):
+    proc = run_module("verify", "--in", str(tmp_path))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_module_entry_point_verify_invalid_exit_1(run_module, tmp_path):
+    proc = run_module("verify", "--in", str(pinned_input("k27_dropped", tmp_path)))
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert "valid: no" in proc.stdout

@@ -49,10 +49,13 @@ def test_make_edge_canonical():
 
 
 def test_star_invariants():
-    with pytest.raises(MalformedStarError):
-        Star(0, (0, 1))  # center among leaves
-    with pytest.raises(MalformedStarError):
-        Star(0, (1, 1))  # repeated leaf
+    with pytest.raises(MalformedStarError, match=r"^star with center 0 lists the center as a leaf$"):
+        Star(0, (0, 1))
+    with pytest.raises(MalformedStarError, match=r"^star with center 0 repeats a leaf$"):
+        Star(0, (1, 1))
+    # the center check comes first, as in the parser's line-numbered errors
+    with pytest.raises(MalformedStarError, match=r"^star with center 1 lists the center as a leaf$"):
+        Star(1, (1, 1))
     with pytest.raises(MalformedStarError):
         Star(0, ())  # no leaves
 
