@@ -56,7 +56,6 @@ from .search import (
     f_exact,
 )
 from .verify import (
-    CenterBipartiteGraph,
     CountingReport,
     CoverageReport,
     DegreeProfile,

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .core import PreconditionError
 from .construct import (
-    ConstructionOutput,
     conjecture_construction,
     f2_construction,
     f3_construction,
@@ -74,9 +73,6 @@ def conjecture_value(n: int, k: int) -> int:
     return _ceil_div((k + 1) * n, 2 * k)
 
 
-_LOWER_PRIORITY = ("f3-counting", "bds-uniqueness", "akiyama-kano", "trivial")
-
-
 def safe_lower_bound(n: int, k: int) -> tuple[int, str]:
     """Best proven lower bound on F_k(n) with its source tag.
 
@@ -87,20 +83,18 @@ def safe_lower_bound(n: int, k: int) -> tuple[int, str]:
         raise PreconditionError("needs n >= 1 and k >= 1")
     if n == 1:
         return 0, "trivial"
-    # a k-star-forest on n vertices holds at most n-1 edges
-    candidates: list[tuple[int, str]] = [(_ceil_div(n, 2), "trivial")]
-    if n >= 4:
-        candidates.append((lb_star_forest(n), "akiyama-kano"))
+    # in priority order: max() keeps the first of equal bounds
+    candidates: list[tuple[int, str]] = []
     if k <= 3 and n >= 3:
         candidates.append((lb_f3(n), "f3-counting"))
     b = lb_bds(n, k)
     if b is not None:
         candidates.append((b, "bds-uniqueness"))
-    best = max(v for v, _ in candidates)
-    for tag in _LOWER_PRIORITY:
-        if (best, tag) in candidates:
-            return best, tag
-    return best, candidates[0][1]
+    if n >= 4:
+        candidates.append((lb_star_forest(n), "akiyama-kano"))
+    # a k-star-forest on n vertices holds at most n-1 edges
+    candidates.append((_ceil_div(n, 2), "trivial"))
+    return max(candidates, key=lambda c: c[0])
 
 
 @dataclass(frozen=True)
@@ -115,25 +109,19 @@ class BoundReport:
     conjecture_refuted_here: bool
 
 
-_UPPER_PRIORITY = ("construction:k4gen", "construction:f3", "construction:f2",
-                   "construction:conjecture", "search")
-
-
 def _upper_candidates(n: int, k: int) -> list[tuple[int, str]]:
+    """Sizes of the constructions that apply, in priority order: min() keeps
+    the first of equal sizes.  Outputs validate on build; each quotes its
+    realized size."""
     ups: list[tuple[int, str]] = []
-
-    def add(out: ConstructionOutput, tag: str) -> None:
-        # construction outputs validate on build; quote the realized size
-        ups.append((out.forest_count, tag))
-
-    if k >= 2 and n % 2 == 0 and n >= 4:
-        add(f2_construction(n), "construction:f2")
-        if k > 2 and n >= 2 * k:
-            add(conjecture_construction(n, k), "construction:conjecture")
-    if k >= 3 and n >= 27 and n % 27 == 0:
-        add(f3_construction(n), "construction:f3")
     if k >= 4 and n >= 16 and n % 12 == 4:
-        add(k4_construction((n - 4) // 12), "construction:k4gen")
+        ups.append((k4_construction((n - 4) // 12).forest_count, "construction:k4gen"))
+    if k >= 3 and n >= 27 and n % 27 == 0:
+        ups.append((f3_construction(n).forest_count, "construction:f3"))
+    if k >= 2 and n % 2 == 0 and n >= 4:
+        ups.append((f2_construction(n).forest_count, "construction:f2"))
+        if k > 2 and n >= 2 * k:
+            ups.append((conjecture_construction(n, k).forest_count, "construction:conjecture"))
     return ups
 
 
@@ -161,15 +149,8 @@ def bound_report(n: int, k: int, use_search: bool = False, budget=None) -> Bound
         elif res.interval[0] > lower:
             lower, lower_source = res.interval[0], "search"
 
-    upper: int | None = None
-    upper_source: str | None = None
-    if ups:
-        upper = min(v for v, _ in ups)
-        for tag in _UPPER_PRIORITY:
-            if (upper, tag) in ups:
-                upper_source = tag
-                break
-    cv = conjecture_value(n, k) if k >= 2 and n >= k else None
+    upper, upper_source = min(ups, key=lambda c: c[0]) if ups else (None, None)
+    cv = conjecture_value(n, k) if k >= 2 else None
     refuted = upper is not None and cv is not None and upper < cv
     return BoundReport(
         n=n,

@@ -187,12 +187,12 @@ def cmd_analyze(args) -> int:
         "no_isolated": {"applicable": iso.applicable, "isolated": list(iso.isolated), "ok": iso.ok},
     }
     try:
-        count_report, _ = check_counting_inequality(rh)
+        count_report = check_counting_inequality(rh)
         payload["counting"] = {
             "lhs": count_report.lhs,
             "rhs": count_report.rhs,
             "slack": count_report.slack,
-            "aggregate_applicable": count_report.counting_applicable,
+            "aggregate_applicable": True,  # check_counting_inequality raised otherwise
             "aggregate_slack": count_report.counting_slack,
             "ok": count_report.ok,
         }

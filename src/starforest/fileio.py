@@ -80,10 +80,12 @@ def serialize(
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:
-    try:
-        value = int(token)
-    except ValueError:
-        raise ParseError(f"line {lineno}: {what} must be an integer, got {token!r}") from None
+    # ASCII -?[0-9]+ only: int() alone also takes '1_0', '+2' and non-ASCII digits
+    if token.isdigit() and token.isascii():
+        return int(token)
+    if not (token[:1] == "-" and token[1:].isdigit() and token.isascii()):
+        raise ParseError(f"line {lineno}: {what} must be an integer, got {token!r}")
+    value = int(token)  # -0 reads as 0
     if value < 0:
         raise ParseError(f"line {lineno}: {what} must be non-negative, got {value}")
     return value

@@ -6,8 +6,12 @@ stays orientation-flexible (its leaf may still be promoted to center by a
 later edge), which is what makes the enumeration complete.  Pruning:
 
 * both endpoints already in the forest -> never legal (cycle or non-star path),
-* per-forest component bound k and edge capacity n - max(components, 1),
-* global capacity: remaining slots across forests must cover remaining edges,
+* per-forest component bound k,
+* edge-count slack: forest f holds at most n - max(comps[f], 1) edges and no
+  comps[f] falls along a branch, so K_n's |E| edges fit only while
+  slack = m*n - |E| - sum_f max(comps[f], 1) >= 0.  It starts at
+  m(n-1) - |E| and drops by one only when a new star lands in a forest that
+  is already in use; attaching a leaf or promoting one leaves it alone,
 * forest symmetry: index f is tried only if some forest < f is already used
   or f is the first unused one, so the very first edge is pinned to forest 0,
 * vertex symmetry (column rule): for an edge (i, v) with v >= i + 2, if
@@ -69,12 +73,11 @@ class _Searcher:
         self.role = [bytearray(n) for _ in range(m)]
         self.parent = [[-1] * n for _ in range(m)]
         self.nleaf = [[0] * n for _ in range(m)]
-        self.comps = [0] * m
-        self.ecnt = [0] * m
+        self.comps = [0] * m  # stars per forest; a forest is in use iff > 0
         self.assign = [0] * len(self.edges)  # forest chosen for each edge
         self.tie = [0] * n  # leading rows on which columns v-1 and v agree
-        self.capacity = m * (n - 1)
-        self.used = 0
+        self.slack = m * (n - 1) - len(self.edges)  # edge-count slack, see above
+        self.used = 0  # forests with a star; forest symmetry keeps them a prefix
         self.nodes = 0
         self.max_nodes = budget.max_nodes
         self.deadline = time.monotonic() + budget.wall_time
@@ -94,7 +97,7 @@ class _Searcher:
     def _solve(self, idx: int) -> bool:
         if idx == len(self.edges):
             return True
-        if self.capacity < len(self.edges) - idx:
+        if self.slack < 0:
             return False
         u, v = self.edges[idx]
         limit = self.used + 1 if self.used < self.m else self.m
@@ -138,8 +141,10 @@ class _Searcher:
             parent[v] = u
             nleaf[u] = 1
             self.comps[f] += 1
-            self.capacity -= 1 if self.comps[f] == 1 else 2
-            self._bump_ecnt(f)
+            if self.comps[f] == 1:
+                self.used += 1
+            else:
+                self.slack -= 1
             return ("new", u, v, None)
         if rv:  # exactly one endpoint present: normalize so it is u
             u, v, ru = v, u, rv
@@ -147,8 +152,6 @@ class _Searcher:
             role[v] = _LEAF
             parent[v] = u
             nleaf[u] += 1
-            self.capacity -= 1
-            self._bump_ecnt(f)
             return ("attach", u, v, None)
         c = parent[u]
         if nleaf[c] != 1:
@@ -157,46 +160,34 @@ class _Searcher:
         role[u], role[c], role[v] = _CENTER, _LEAF, _LEAF
         parent[c], parent[u], parent[v] = u, -1, u
         nleaf[c], nleaf[u] = 0, 2
-        self.capacity -= 1
-        self._bump_ecnt(f)
         return ("promote", u, v, c)
-
-    def _bump_ecnt(self, f: int) -> None:
-        if self.ecnt[f] == 0:
-            self.used += 1
-        self.ecnt[f] += 1
-
-    def _drop_ecnt(self, f: int) -> None:
-        self.ecnt[f] -= 1
-        if self.ecnt[f] == 0:
-            self.used -= 1
 
     def _undo(self, f: int, undo) -> None:
         kind, u, v, extra = undo
         role, parent, nleaf = self.role[f], self.parent[f], self.nleaf[f]
-        self._drop_ecnt(f)
         if kind == "new":
             role[u] = role[v] = _UNUSED
             parent[v] = -1
             nleaf[u] = 0
-            self.capacity += 1 if self.comps[f] == 1 else 2
             self.comps[f] -= 1
+            if self.comps[f] == 0:
+                self.used -= 1
+            else:
+                self.slack += 1
         elif kind == "attach":
             role[v] = _UNUSED
             parent[v] = -1
             nleaf[u] -= 1
-            self.capacity += 1
         else:  # promote
             c = extra
             role[u], role[c], role[v] = _LEAF, _CENTER, _UNUSED
             parent[u], parent[c], parent[v] = c, -1, -1
             nleaf[c], nleaf[u] = 1, 0
-            self.capacity += 1
 
     def _certificate(self) -> Decomposition:
         forests = []
         for f in range(self.m):
-            if self.ecnt[f] == 0:
+            if self.comps[f] == 0:
                 break
             role, parent = self.role[f], self.parent[f]
             stars = tuple(
@@ -248,22 +239,22 @@ def f_exact(n: int, k: int, budget: SearchBudget | None = None) -> FExactResult:
 
     lb, _ = safe_lower_bound(n, k)
     deadline = time.monotonic() + budget.wall_time
-    nodes_left = budget.max_nodes
-    nodes_total = 0
+    nodes = 0
     attempts: list[tuple[int, SearchStatus]] = []
     for m in range(lb, n):
         time_left = deadline - time.monotonic()
-        if time_left <= 0 or nodes_left <= 0:
-            return FExactResult(n, k, SearchStatus.BUDGET_EXCEEDED, None, None,
-                                tuple(attempts), lb, (m, n - 1), nodes_total)
-        res = exists_decomposition(n, k, m, SearchBudget(max_nodes=nodes_left, wall_time=time_left))
+        if time_left <= 0 or nodes >= budget.max_nodes:
+            break
+        left = SearchBudget(max_nodes=budget.max_nodes - nodes, wall_time=time_left)
+        res = exists_decomposition(n, k, m, left)
         attempts.append((m, res.status))
-        nodes_total += res.nodes_explored
-        nodes_left -= res.nodes_explored
+        nodes += res.nodes_explored
         if res.status is SearchStatus.FOUND:
             return FExactResult(n, k, SearchStatus.FOUND, m, res.certificate,
-                                tuple(attempts), lb, (m, m), nodes_total)
+                                tuple(attempts), lb, (m, m), nodes)
         if res.status is SearchStatus.BUDGET_EXCEEDED:
-            return FExactResult(n, k, SearchStatus.BUDGET_EXCEEDED, None, None,
-                                tuple(attempts), lb, (m, n - 1), nodes_total)
-    raise AssertionError("unreachable: n-1 single stars always decompose K_n")
+            break
+    else:
+        raise AssertionError("unreachable: n-1 single stars always decompose K_n")
+    return FExactResult(n, k, SearchStatus.BUDGET_EXCEEDED, None, None,
+                        tuple(attempts), lb, (m, n - 1), nodes)

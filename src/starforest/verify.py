@@ -167,29 +167,22 @@ def degree_profile(rh: RootHypergraph) -> DegreeProfile:
 
 
 @dataclass(frozen=True)
-class CenterBipartiteGraph:
-    """Bipartite graph between degree-1 vertices and degree->=2 vertices,
-    joined whenever the two share a hyperedge."""
-
-    edges: tuple[tuple[int, int], ...]
-    v1_size: int
-
-
-@dataclass(frozen=True)
 class CountingReport:
     lhs: int  # 2*p1 - r, lower bound on the bipartite edge count
     rhs: int  # p2 + sum_{j>=3} j*p_j, upper bound on the bipartite edge count
     slack: int
-    bipartite_edge_count: int
-    counting_applicable: bool  # all hyperedge sizes in {2,3}
+    bipartite_edge_count: int  # degree-1 to degree->=2 pairs sharing a hyperedge
     counting_lhs: int  # 5n - 9m + 2r
     counting_rhs: int  # -sum_{j>=3}(2j-5)*p_j
     counting_slack: int
     ok: bool
 
 
-def check_counting_inequality(rh: RootHypergraph) -> tuple[CountingReport, CenterBipartiteGraph]:
-    """Numeric slack on both counting inequalities, plus the witnessing bipartite graph.
+def check_counting_inequality(rh: RootHypergraph) -> CountingReport:
+    """Numeric slack on both counting inequalities.
+
+    The bipartite graph joins each degree-1 vertex to each degree->=2 vertex
+    it shares a hyperedge with; only its edge count enters the report.
 
     Raises:
         NotApplicableError: if some hyperedge has more than 3 or fewer than 2
@@ -204,34 +197,25 @@ def check_counting_inequality(rh: RootHypergraph) -> tuple[CountingReport, Cente
 
     prof = degree_profile(rh)
     degrees = rh.degrees()
-    cross_edges = []
+    bipartite_edge_count = 0
     for e in rh.hyperedges:
-        for p_vtx in e:
-            if degrees[p_vtx] != 1:
-                continue
-            for q in e:
-                if q != p_vtx and degrees[q] >= 2:
-                    cross_edges.append((p_vtx, q))
-    bipartite = CenterBipartiteGraph(edges=tuple(sorted(cross_edges)), v1_size=prof.p_j(1))
+        ones = sum(1 for v in e if degrees[v] == 1)
+        bipartite_edge_count += ones * (len(e) - ones)
 
     lhs = 2 * prof.p_j(1) - prof.r
     rhs = prof.p_j(2) + sum(j * c for j, c in prof.p.items() if j >= 3)
-    counting_applicable = set(sizes) <= {2, 3}
     counting_lhs = 5 * rh.n - 9 * rh.m + 2 * prof.r
     counting_rhs = -sum((2 * j - 5) * c for j, c in prof.p.items() if j >= 3)
-    ok = lhs <= rhs and (not counting_applicable or counting_lhs <= counting_rhs)
-    report = CountingReport(
+    return CountingReport(
         lhs=lhs,
         rhs=rhs,
         slack=rhs - lhs,
-        bipartite_edge_count=len(bipartite.edges),
-        counting_applicable=counting_applicable,
+        bipartite_edge_count=bipartite_edge_count,
         counting_lhs=counting_lhs,
         counting_rhs=counting_rhs,
         counting_slack=counting_rhs - counting_lhs,
-        ok=ok,
+        ok=lhs <= rhs and counting_lhs <= counting_rhs,
     )
-    return report, bipartite
 
 
 @dataclass(frozen=True)

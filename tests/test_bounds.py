@@ -1,7 +1,10 @@
+import hashlib
+
 import pytest
 
 from starforest import (
     PreconditionError,
+    SearchBudget,
     bound_report,
     conjecture_value,
     f3_equality_feasible,
@@ -107,3 +110,34 @@ def test_bound_report_rejects_valueless_search_result_under_optimize(run_optimiz
     )
     assert proc.returncode != 0
     assert "AssertionError: search reported F_2(4) found without a value" in proc.stderr
+
+
+# sha256 of repr(bound_report(n, k)) over k <= n <= 109: any change of a
+# value, a source or the tie-break between equal bounds moves a digest
+_BOUND_DIGESTS = {
+    1: "4881f47dafcd52625e83fe22dc1817231f25ce2c89b187d37894e1c5613999b1",
+    2: "8aca46cf53bb50c30b3e5338c1618bc05535e6316701121831d358bb621cf8a3",
+    3: "61daf53c7da251b4db9daec203d4f1830ec49309910bf9dd48d17a4cbd1bae7a",
+    4: "97925ed793aa27abdc38216819d50fb163366c0b1e80141543b965d19572b7b2",
+    5: "786a176cac28d7eadf0d60bf24fc45e1a1127d4ce9187d3d790cb7c00e1b5b52",
+    6: "2f7ba8fc62c88d10d979769ca1664f570c2bafe430dc4f0479f81d28df85eee6",
+    7: "88a0a4d738cedfa8e876e37ad7e99d84bcb44ca70aa3097969cffb1348af4f17",
+    8: "dbc787d060dadaf98b2a84c33ebc1d54a17978c2c29906569a4f34434e833d17",
+}
+
+
+@pytest.mark.parametrize("k", sorted(_BOUND_DIGESTS))
+def test_bound_report_pinned(k):
+    h = hashlib.sha256()
+    for n in range(k, 110):
+        h.update(repr(bound_report(n, k)).encode())
+    assert h.hexdigest() == _BOUND_DIGESTS[k]
+
+
+def test_bound_report_with_search_pinned():
+    # every k <= n <= 7; the node budget stops F_2(7) early, so its row keeps the formulas
+    h = hashlib.sha256()
+    for n in range(1, 8):
+        for k in range(1, n + 1):
+            h.update(repr(bound_report(n, k, use_search=True, budget=SearchBudget(max_nodes=20_000))).encode())
+    assert h.hexdigest() == "e944eda13b5853d1ae699649c5f0a789fc6d4529543e3621357922ee676272d3"

@@ -389,18 +389,20 @@ def test_readme_lists_every_family():
         assert set(re.findall(r"--(\w+)", entry)) >= set(flags)
 
 
-# stderr and exit code of `verify --in` on one malformed star, as the parser
-# reported them while it still repeated the Star checks itself
+# stderr and exit code of `verify --in` on one malformed star; the Star cases
+# as the parser reported them while it still repeated the Star checks itself,
+# and a non-ASCII digit, which int() alone would read as center 3
 @pytest.mark.parametrize("star, problem", [
     ("star 1 : 0 1", "star with center 1 lists the center as a leaf"),
     ("star 0 : 1 1", "star with center 0 repeats a leaf"),
     ("star 1 : 1 1", "star with center 1 lists the center as a leaf"),
     ("star 0 : 2 3 2", "star with center 0 repeats a leaf"),
     ("star 3 : 3", "star with center 3 lists the center as a leaf"),
+    ("star \u0663 : 0", "star center must be an integer, got '\u0663'"),
 ])
 def test_verify_malformed_star_stderr_pinned(capsys, tmp_path, star, problem):
     path = tmp_path / "bad.sfd"
-    path.write_text(f"decomposition v1\nn 4\nk 2\nforest\n{star}\n")
+    path.write_text(f"decomposition v1\nn 4\nk 2\nforest\n{star}\n", encoding="utf-8")
     assert run(capsys, ["verify", "--in", str(path)]) == (2, "", f"error: line 5: {problem}\n")
 
 

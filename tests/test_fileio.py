@@ -91,6 +91,22 @@ def test_parse_rejects_label_scheme_mismatch():
         parse("decomposition v1\nn 4\nk 2\nlabels bogus\n")
 
 
+# int() alone would take the first five: n=10, k=2, center 3, k=2, n=4
+@pytest.mark.parametrize("body, problem", [
+    ("n 1_0\nk 2\n", "line 2: n must be an integer, got '1_0'"),
+    ("n 4\nk +2\n", "line 3: k must be an integer, got '+2'"),
+    ("n 4\nk 2\nforest\nstar \u0663 : 0\n", "line 5: star center must be an integer, got '\u0663'"),
+    ("n 4\nk \uff12\n", "line 3: k must be an integer, got '\uff12'"),
+    ("n \uff14\nk 2\n", "line 2: n must be an integer, got '\uff14'"),
+    ("n 4\nk 2\nforest\nstar 0 : -\n", "line 5: leaf must be an integer, got '-'"),
+    ("n 4\nk 2\nforest\nstar -1 : 0\n", "line 5: star center must be non-negative, got -1"),
+], ids=["underscore", "plus", "arabic-indic", "fullwidth-k", "fullwidth-n", "bare-minus", "negative"])
+def test_parse_accepts_only_ascii_integers(body, problem):
+    with pytest.raises(ParseError) as exc:
+        parse("decomposition v1\n" + body)
+    assert str(exc.value) == problem
+
+
 def test_parse_rejects_bad_duplicate_edge():
     with pytest.raises(ParseError, match="u < v"):
         parse("decomposition v1\nn 4\nk 2\nduplicates 3-1\n")

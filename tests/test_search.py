@@ -56,10 +56,17 @@ def test_f_exact_brute_force_exhaustions_below_optimum():
 
 
 def test_column_rule_prunes_relabelled_columns():
-    # node counts measured when the vertex-symmetry column rule landed; the
-    # search without it visits 210872 and 235321 nodes here
-    assert exists_decomposition(7, 2, 4).nodes_explored <= 15_188
-    assert exists_decomposition(7, 3, 4).nodes_explored <= 17_194
+    # exact node counts of the benchmark's eight instances, measured when the
+    # vertex-symmetry column rule landed; without it (7, 2, 4) and (7, 3, 4)
+    # visit 210872 and 235321 nodes.  Any change to the pruning moves them.
+    exhaustions = {(6, 2, 4): 6089, (7, 2, 4): 15_188, (7, 3, 4): 17_194,
+                   (7, 4, 4): 17_194, (8, 2, 4): 2065}
+    for (n, k, m), nodes in exhaustions.items():
+        res = exists_decomposition(n, k, m)
+        assert (res.status, res.nodes_explored) == (SearchStatus.EXHAUSTED_NOT_FOUND, nodes)
+    for (n, k), nodes in {(6, 2): 15, (7, 3): 1125, (7, 7): 1125}.items():
+        res = f_exact(n, k)
+        assert (res.value, res.nodes_explored) == (5, nodes)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -120,6 +127,19 @@ def test_f_exact_budget_bracketing():
     assert res.value is None
     lo, hi = res.interval
     assert lo <= 5 <= hi
+
+
+def test_f_exact_budget_runs_out_inside_and_after_an_exhaustion():
+    # F_1(7) = 6 from the lower bound 5.  Exhausting m=5 visits 5992 nodes,
+    # and the budget stops a search on the node that reaches max_nodes.
+    res = f_exact(7, 1, SearchBudget(max_nodes=5992))
+    assert res.status is SearchStatus.BUDGET_EXCEEDED
+    assert res.attempts == ((5, SearchStatus.BUDGET_EXCEEDED),)
+    assert (res.interval, res.nodes_explored) == ((5, 6), 5992)
+    res = f_exact(7, 1, SearchBudget(max_nodes=5993))  # one node left for m=6
+    assert res.status is SearchStatus.BUDGET_EXCEEDED
+    assert res.attempts == ((5, SearchStatus.EXHAUSTED_NOT_FOUND), (6, SearchStatus.BUDGET_EXCEEDED))
+    assert (res.interval, res.nodes_explored) == ((6, 6), 5993)
 
 
 def test_certificate_deterministic():

@@ -207,18 +207,18 @@ def test_degree_profile_broken_double_star():
 
 
 def test_counting_inequality_k27_holds_with_equality():
-    report, bipartite = check_counting_inequality(root_hypergraph(k27().decomposition))
+    rh = root_hypergraph(k27().decomposition)
+    report = check_counting_inequality(rh)
     assert report.ok
     assert report.lhs == report.rhs == 18
     assert report.bipartite_edge_count == 18
-    assert bipartite.v1_size == 9
-    assert report.counting_applicable
+    assert degree_profile(rh).p_j(1) == 9
     assert report.counting_lhs == report.counting_rhs == 0
 
 
 def test_counting_inequality_flags_impossible_profile():
     rh = RootHypergraph(3, (frozenset({0, 1}), frozenset({0, 2})))
-    report, _ = check_counting_inequality(rh)
+    report = check_counting_inequality(rh)
     assert not report.ok
     assert report.lhs == 2 and report.rhs == 1
 
