@@ -14,10 +14,10 @@ The format is line oriented and human auditable::
     star 4 : 2 7 6 9 13
     ...
 
-Parsing is strict: unknown directives, out-of-range vertices, repeated leaves
-or a center listed among its own leaves are rejected with the offending line
-number.  ``parse(serialize(x)) == x`` including forest order, leaf order,
-forest names and metadata.
+Parsing is strict: unknown directives, a repeated header line or meta key,
+out-of-range vertices, repeated leaves or a center listed among its own leaves
+are rejected with the offending line number.  ``parse(serialize(x)) == x``
+including forest order, leaf order, forest names and metadata.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .core import (
 
 FORMAT_VERSION = 1
 _HEADER = f"decomposition v{FORMAT_VERSION}"
+_ONCE = frozenset({"n", "k", "labels", "family", "duplicates"})  # header lines that may not repeat
 
 
 class ParseError(DecompositionError):
@@ -104,6 +105,7 @@ def parse(text: str) -> DecompositionFile:
     duplicates: list[Edge] = []
     forests: list[list[Star]] = []
     names: list[str | None] = []
+    seen: set[str] = set()
 
     for lineno, rawline in enumerate(lines[1:], start=2):
         line = rawline.strip()
@@ -111,15 +113,15 @@ def parse(text: str) -> DecompositionFile:
             continue
         tokens = line.split()
         directive = tokens[0]
+        if directive in _ONCE:
+            if directive in seen:
+                raise ParseError(f"line {lineno}: {directive} given twice")
+            seen.add(directive)
         if directive == "n":
-            if n is not None:
-                raise ParseError(f"line {lineno}: n given twice")
             n = _parse_int(tokens[1], lineno, "n") if len(tokens) == 2 else None
             if n is None or n < 1:
                 raise ParseError(f"line {lineno}: expected 'n <positive integer>'")
         elif directive == "k":
-            if k is not None:
-                raise ParseError(f"line {lineno}: k given twice")
             k = _parse_int(tokens[1], lineno, "k") if len(tokens) == 2 else None
             if k is None or k < 1:
                 raise ParseError(f"line {lineno}: expected 'k <positive integer>'")
@@ -138,6 +140,8 @@ def parse(text: str) -> DecompositionFile:
         elif directive == "meta":
             if len(tokens) < 3:
                 raise ParseError(f"line {lineno}: expected 'meta <key> <value>'")
+            if tokens[1] in meta:
+                raise ParseError(f"line {lineno}: meta key {tokens[1]} given twice")
             meta[tokens[1]] = line.split(None, 2)[2]
         elif directive == "duplicates":
             for token in tokens[1:]:

@@ -1,9 +1,12 @@
 """Exhaustive oracle for the minimum number of k-star-forests decomposing K_n.
 
-Edges are assigned to forests one at a time in lexicographic order.  Within a
-forest every vertex is either absent, a center, or a leaf; a two-vertex star
-stays orientation-flexible (its leaf may still be promoted to center by a
-later edge), which is what makes the enumeration complete.  Pruning:
+Edges are assigned to forests one at a time in lexicographic order.  Each
+forest f keeps one int per vertex in ``star[f]``: -1 means absent, c >= 0 a
+leaf of center c, and -1-j a center with j leaves.  A two-vertex star (its
+center reads -2) stays orientation-flexible: its leaf may still be promoted to
+center by a later edge, which is what makes the enumeration complete.  Every
+move returns the (vertex, old value) pairs it overwrote, and undo writes them
+back.  Pruning:
 
 * both endpoints already in the forest -> never legal (cycle or non-star path),
 * per-forest component bound k,
@@ -19,6 +22,10 @@ later edge), which is what makes the enumeration complete.  Pruning:
   not go to a lower forest than (i, v-1).  Sound because the lexicographically
   smallest assignment in any orbit under forest relabellings and vertex
   permutations obeys it: swapping v-1 and v would otherwise make it smaller.
+
+A node is one legal edge placement.  A search visits at most ``max_nodes``
+nodes: one that needs exactly ``max_nodes`` finishes, and the next placement
+past the budget stops it with BUDGET_EXCEEDED.
 
 Single-threaded and deterministic: the certificate returned is the first one
 found in canonical order, i.e. the lexicographically smallest valid
@@ -63,16 +70,11 @@ class _BudgetStop(Exception):
     pass
 
 
-_UNUSED, _CENTER, _LEAF = 0, 1, 2
-
-
 class _Searcher:
     def __init__(self, n: int, k: int, m: int, budget: SearchBudget):
         self.n, self.k, self.m = n, k, m
         self.edges = complete_graph_edges(n)
-        self.role = [bytearray(n) for _ in range(m)]
-        self.parent = [[-1] * n for _ in range(m)]
-        self.nleaf = [[0] * n for _ in range(m)]
+        self.star = [[-1] * n for _ in range(m)]  # per-vertex state, see above
         self.comps = [0] * m  # stars per forest; a forest is in use iff > 0
         self.assign = [0] * len(self.edges)  # forest chosen for each edge
         self.tie = [0] * n  # leading rows on which columns v-1 and v agree
@@ -109,9 +111,9 @@ class _Searcher:
             undo = self._try_assign(f, u, v)
             if undo is None:
                 continue
-            self.nodes += 1
-            if self.nodes >= self.max_nodes:
+            if self.nodes == self.max_nodes:
                 raise _BudgetStop
+            self.nodes += 1
             if self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
                 raise _BudgetStop
             self.assign[idx] = f
@@ -125,75 +127,55 @@ class _Searcher:
         return False
 
     def _try_assign(self, f: int, u: int, v: int):
-        """Mutate state to put edge (u, v) into forest f; None if illegal.
-
-        Returns an undo record: (kind, u, v, extra).
-        """
-        role, parent, nleaf = self.role[f], self.parent[f], self.nleaf[f]
-        ru, rv = role[u], role[v]
-        if ru and rv:
+        """Put edge (u, v) into forest f; return the (vertex, old value) pairs
+        it overwrote, or None if the edge does not fit."""
+        star = self.star[f]
+        su, sv = star[u], star[v]
+        if su != -1 and sv != -1:
             return None
-        if not ru and not rv:
+        if su == sv:  # both absent
             if self.comps[f] >= self.k:
                 return None
             # provisionally center the lower endpoint; a later edge may flip it
-            role[u], role[v] = _CENTER, _LEAF
-            parent[v] = u
-            nleaf[u] = 1
+            star[u], star[v] = -2, u
             self.comps[f] += 1
             if self.comps[f] == 1:
                 self.used += 1
             else:
                 self.slack -= 1
-            return ("new", u, v, None)
-        if rv:  # exactly one endpoint present: normalize so it is u
-            u, v, ru = v, u, rv
-        if ru == _CENTER:
-            role[v] = _LEAF
-            parent[v] = u
-            nleaf[u] += 1
-            return ("attach", u, v, None)
-        c = parent[u]
-        if nleaf[c] != 1:
+            return ((u, -1), (v, -1))
+        if sv != -1:  # exactly one endpoint present: normalize so it is u
+            u, v, su = v, u, sv
+        if su < -1:  # u is a center: attach v
+            star[u], star[v] = su - 1, u
+            return ((u, su), (v, -1))
+        if star[su] != -2:
             return None  # u is a committed leaf
-        # flexible two-vertex star: promote u to center, demote c
-        role[u], role[c], role[v] = _CENTER, _LEAF, _LEAF
-        parent[c], parent[u], parent[v] = u, -1, u
-        nleaf[c], nleaf[u] = 0, 2
-        return ("promote", u, v, c)
+        # flexible two-vertex star: promote u to center, demote its center su
+        star[su], star[u], star[v] = u, -3, u
+        return ((su, -2), (u, su), (v, -1))
 
     def _undo(self, f: int, undo) -> None:
-        kind, u, v, extra = undo
-        role, parent, nleaf = self.role[f], self.parent[f], self.nleaf[f]
-        if kind == "new":
-            role[u] = role[v] = _UNUSED
-            parent[v] = -1
-            nleaf[u] = 0
+        star = self.star[f]
+        for w, old in undo:
+            star[w] = old
+        if undo[0][1] == -1:  # only a new star overwrites an absent first vertex
             self.comps[f] -= 1
             if self.comps[f] == 0:
                 self.used -= 1
             else:
                 self.slack += 1
-        elif kind == "attach":
-            role[v] = _UNUSED
-            parent[v] = -1
-            nleaf[u] -= 1
-        else:  # promote
-            c = extra
-            role[u], role[c], role[v] = _LEAF, _CENTER, _UNUSED
-            parent[u], parent[c], parent[v] = c, -1, -1
-            nleaf[c], nleaf[u] = 1, 0
 
     def _certificate(self) -> Decomposition:
         forests = []
         for f in range(self.m):
             if self.comps[f] == 0:
                 break
-            role, parent = self.role[f], self.parent[f]
+            star = self.star[f]
             stars = tuple(
-                Star(c, tuple(v for v in range(self.n) if role[v] == _LEAF and parent[v] == c))
+                Star(c, tuple(v for v in range(self.n) if star[v] == c))
                 for c in range(self.n)
-                if role[c] == _CENTER
+                if star[c] < -1
             )
             forests.append(StarForest(stars))
         return Decomposition(n=self.n, k=self.k, forests=tuple(forests))
@@ -212,8 +194,6 @@ def exists_decomposition(n: int, k: int, m: int, budget: SearchBudget | None = N
 
 @dataclass(frozen=True)
 class FExactResult:
-    n: int
-    k: int
     status: SearchStatus  # FOUND once the minimum is pinned, else BUDGET_EXCEEDED
     value: int | None
     certificate: Decomposition | None
@@ -235,7 +215,7 @@ def f_exact(n: int, k: int, budget: SearchBudget | None = None) -> FExactResult:
     budget = budget or SearchBudget()
     if n == 1:
         empty = Decomposition(n=1, k=k, forests=())
-        return FExactResult(n, k, SearchStatus.FOUND, 0, empty, (), 0, (0, 0), 0)
+        return FExactResult(SearchStatus.FOUND, 0, empty, (), 0, (0, 0), 0)
 
     lb, _ = safe_lower_bound(n, k)
     deadline = time.monotonic() + budget.wall_time
@@ -250,11 +230,11 @@ def f_exact(n: int, k: int, budget: SearchBudget | None = None) -> FExactResult:
         attempts.append((m, res.status))
         nodes += res.nodes_explored
         if res.status is SearchStatus.FOUND:
-            return FExactResult(n, k, SearchStatus.FOUND, m, res.certificate,
+            return FExactResult(SearchStatus.FOUND, m, res.certificate,
                                 tuple(attempts), lb, (m, m), nodes)
         if res.status is SearchStatus.BUDGET_EXCEEDED:
             break
     else:
         raise AssertionError("unreachable: n-1 single stars always decompose K_n")
-    return FExactResult(n, k, SearchStatus.BUDGET_EXCEEDED, None, None,
+    return FExactResult(SearchStatus.BUDGET_EXCEEDED, None, None,
                         tuple(attempts), lb, (m, n - 1), nodes)

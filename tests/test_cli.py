@@ -117,6 +117,12 @@ def test_verify_parse_error_exit_code(capsys, tmp_path):
     assert "error" in err
 
 
+def test_verify_repeated_family_exit_2(capsys, tmp_path):
+    path = tmp_path / "twice.sfd"
+    path.write_text("decomposition v1\nn 2\nk 1\nfamily a\nfamily b\nforest\nstar 0 : 1\n")
+    assert run(capsys, ["verify", "--in", str(path)]) == (2, "", "error: line 5: family given twice\n")
+
+
 @pytest.mark.parametrize("command", ["verify", "analyze"])
 @pytest.mark.parametrize("kind", ["undecodable", "directory"])
 def test_unreadable_input_exit_2(capsys, tmp_path, command, kind):

@@ -107,6 +107,22 @@ def test_parse_accepts_only_ascii_integers(body, problem):
     assert str(exc.value) == problem
 
 
+# a second single-valued header line or meta key would otherwise win silently
+# (or be appended), so parse followed by serialize would change the bytes
+@pytest.mark.parametrize("body, problem", [
+    ("n 4\nn 4\nk 2\n", "line 3: n given twice"),
+    ("n 4\nk 2\nk 3\n", "line 4: k given twice"),
+    ("n 16\nk 4\nlabels block12m4 1\nlabels plain\n", "line 5: labels given twice"),
+    ("n 4\nk 2\nfamily a\nfamily b\n", "line 5: family given twice"),
+    ("n 4\nk 2\nduplicates 0-1\nduplicates 2-3\n", "line 5: duplicates given twice"),
+    ("n 4\nk 2\nmeta seed 1\nmeta note x\nmeta seed 2\n", "line 6: meta key seed given twice"),
+], ids=["n", "k", "labels", "family", "duplicates", "meta"])
+def test_parse_rejects_repeated_header_lines(body, problem):
+    with pytest.raises(ParseError) as exc:
+        parse("decomposition v1\n" + body)
+    assert str(exc.value) == problem
+
+
 def test_parse_rejects_bad_duplicate_edge():
     with pytest.raises(ParseError, match="u < v"):
         parse("decomposition v1\nn 4\nk 2\nduplicates 3-1\n")

@@ -121,6 +121,13 @@ def test_budget_exceeded_signalling():
     assert res.certificate is None
 
 
+def test_budget_of_exactly_the_nodes_needed_finds():
+    # (7, 3, 5) is found on its 1125th node
+    assert exists_decomposition(7, 3, 5, SearchBudget(max_nodes=1125)).status is SearchStatus.FOUND
+    res = exists_decomposition(7, 3, 5, SearchBudget(max_nodes=1124))
+    assert (res.status, res.nodes_explored) == (SearchStatus.BUDGET_EXCEEDED, 1124)
+
+
 def test_f_exact_budget_bracketing():
     res = f_exact(6, 2, SearchBudget(max_nodes=10))
     assert res.status is SearchStatus.BUDGET_EXCEEDED
@@ -130,16 +137,17 @@ def test_f_exact_budget_bracketing():
 
 
 def test_f_exact_budget_runs_out_inside_and_after_an_exhaustion():
-    # F_1(7) = 6 from the lower bound 5.  Exhausting m=5 visits 5992 nodes,
-    # and the budget stops a search on the node that reaches max_nodes.
-    res = f_exact(7, 1, SearchBudget(max_nodes=5992))
+    # F_1(7) = 6 from the lower bound 5.  Exhausting m=5 visits 5992 nodes, and
+    # a search visits at most max_nodes nodes: one short of 5992 stops inside
+    # the exhaustion, and exactly 5992 completes it with nothing left for m=6.
+    res = f_exact(7, 1, SearchBudget(max_nodes=5991))
     assert res.status is SearchStatus.BUDGET_EXCEEDED
     assert res.attempts == ((5, SearchStatus.BUDGET_EXCEEDED),)
-    assert (res.interval, res.nodes_explored) == ((5, 6), 5992)
-    res = f_exact(7, 1, SearchBudget(max_nodes=5993))  # one node left for m=6
+    assert (res.interval, res.nodes_explored) == ((5, 6), 5991)
+    res = f_exact(7, 1, SearchBudget(max_nodes=5992))
     assert res.status is SearchStatus.BUDGET_EXCEEDED
-    assert res.attempts == ((5, SearchStatus.EXHAUSTED_NOT_FOUND), (6, SearchStatus.BUDGET_EXCEEDED))
-    assert (res.interval, res.nodes_explored) == ((6, 6), 5993)
+    assert res.attempts == ((5, SearchStatus.EXHAUSTED_NOT_FOUND),)
+    assert (res.interval, res.nodes_explored) == ((6, 6), 5992)
 
 
 def test_certificate_deterministic():
@@ -270,3 +278,20 @@ _PINNED_CERTIFICATES = {
 def test_pinned_certificates(n, k):
     text = serialize(f_exact(n, k).certificate, family="search")
     assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_CERTIFICATES[(n, k)]
+
+
+def _sweep_digest():
+    h = hashlib.sha256()
+    for n in range(1, 8):
+        for k in range(1, n + 1):
+            for m in range(1, n + 1):
+                res = exists_decomposition(n, k, m, SearchBudget(max_nodes=200_000))
+                cert = "" if res.certificate is None else serialize(res.certificate, family="search")
+                h.update(f"{n} {k} {m} {res.status.value} {res.nodes_explored}\n{cert}".encode())
+    return h.hexdigest()
+
+
+def test_search_sweep_pinned():
+    # status, node count and certificate of every (n, k, m) with 1 <= k, m <= n <= 7;
+    # any change to the edge order or the pruning moves it
+    assert _sweep_digest() == "d7cb26c6976823d0fcafbb7a790be289a0e9bcde26a2cac7a8c60d9af1b5a8f4"
