@@ -29,6 +29,7 @@ from .core import DecompositionError, NotApplicableError
 from .fileio import DecompositionFile, export_dot, export_dot_per_forest, parse, serialize
 from .search import SearchBudget, SearchStatus, exists_decomposition, f_exact
 from .verify import (
+    MissingEdges,
     check_counting_inequality,
     check_degree1_placement,
     check_no_isolated,
@@ -131,6 +132,7 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     f = _load(args.infile)
     report = validate_decomposition(f.decomposition)
+    missing = report.coverage.missing
     if args.json:
         payload = {
             "valid": report.ok,
@@ -138,21 +140,26 @@ def cmd_verify(args) -> int:
             "k": f.decomposition.k,
             "forests": f.decomposition.forest_count,
             "total_edges": report.coverage.total_edges,
-            "covered_once": report.coverage.total_edges - len(report.coverage.missing),
-            "missing": report.coverage.missing,
+            "covered_once": report.coverage.total_edges - missing.size,
+            "missing": [],
             "duplicated": report.coverage.duplicated,
             "malformed": list(report.malformed),
             "k_violations": list(report.k_violations),
         }
-        print(json.dumps(payload, sort_keys=True))
+        # JSON escapes every quote inside a string, so this key is the only match
+        head, _, tail = json.dumps(payload, sort_keys=True).partition('"missing": []')
+        sys.stdout.write(head + '"missing": [')
+        _write_missing_rows(missing)
+        sys.stdout.write("]" + tail + "\n")
     else:
         print(f"valid: {'yes' if report.ok else 'no'}")
         print(
             f"n={f.decomposition.n} k={f.decomposition.k} "
             f"forests={f.decomposition.forest_count} edges={report.coverage.total_edges}"
         )
-        _print_edge_list("missing", report.coverage.missing)
-        _print_edge_list("duplicated", tuple(e for e, _ in report.coverage.duplicated))
+        _print_edge_list("missing", missing.size, missing[:20])
+        duplicated = report.coverage.duplicated
+        _print_edge_list("duplicated", len(duplicated), [e for e, _ in duplicated[:20]])
         for msg in report.malformed[:20]:
             print(f"malformed: {msg}")
         for fi in report.k_violations[:20]:
@@ -160,10 +167,26 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
-def _print_edge_list(tag: str, edges: tuple) -> None:
-    shown = " ".join(f"{u}-{v}" for u, v in edges[:20])
-    suffix = " ..." if len(edges) > 20 else ""
-    print(f"{tag} ({len(edges)}):" + (f" {shown}{suffix}" if edges else " -"))
+def _write_missing_rows(missing: MissingEdges) -> None:
+    """Write the body of ``json.dumps(list(missing))`` one row at a time.
+
+    Row u's edges are one join over a table of vertex strings, so no int is
+    converted per edge; a row with no covered edge (a ``range``) joins a
+    slice of the table, which also skips the per-edge lookup.
+    """
+    names = [str(v) for v in range(missing.n)]
+    sep = ""
+    for u, vs in missing.rows():
+        cells = names[vs.start:] if isinstance(vs, range) else map(names.__getitem__, vs)
+        sys.stdout.write(f"{sep}[{names[u]}, " + f"], [{names[u]}, ".join(cells) + "]")
+        sep = ", "
+
+
+def _print_edge_list(tag: str, count: int, shown: list | tuple) -> None:
+    """``shown`` holds the first 20 of ``count`` edges."""
+    text = " ".join(f"{u}-{v}" for u, v in shown)
+    suffix = " ..." if count > 20 else ""
+    print(f"{tag} ({count}):" + (f" {text}{suffix}" if count else " -"))
 
 
 def cmd_analyze(args) -> int:

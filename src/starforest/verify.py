@@ -14,9 +14,9 @@ checks used across the test suite:
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import filterfalse, islice, repeat
 
 from .core import (
     Decomposition,
@@ -28,10 +28,93 @@ from .core import (
 )
 
 
+class MissingEdges:
+    """The edges of K_n that a claim leaves uncovered, in lexicographic order.
+
+    Lazy: the object holds only the covered in-range edges, indexed by their
+    lower endpoint, so its memory follows the input and not n².  ``size`` is
+    the exact count, found by arithmetic.  Iteration, ``rows()`` and indexing
+    walk the rows on demand, so printing the first 20 edges of an empty claim
+    with a huge header costs 20 edges.  ``len()`` is ``size``, but Python
+    raises ``OverflowError`` for a length past ``sys.maxsize``; read ``size``
+    where n may be that large.  A slice is a tuple of edges, as from a tuple.
+    """
+
+    __slots__ = ("n", "size", "_covered")
+
+    def __init__(self, n: int, covered: Iterable[Edge]) -> None:
+        rows: dict[int, set[int]] = {}
+        for u, v in covered:
+            if v < n:
+                rows.setdefault(u, set()).add(v)
+        self.n = n
+        self._covered = rows
+        self.size = n * (n - 1) // 2 - sum(map(len, rows.values()))
+
+    def rows(self) -> Iterator[tuple[int, Iterable[int]]]:
+        """Each row u with a missing edge, with the missing upper ends v > u in order.
+
+        A row with no covered edge is a ``range``; a full row is skipped.
+        """
+        n, covered = self.n, self._covered
+        for u in range(n - 1):
+            row = covered.get(u)
+            if row is None:
+                yield u, range(u + 1, n)
+            elif len(row) < n - 1 - u:
+                yield u, filterfalse(row.__contains__, range(u + 1, n))
+
+    def _walk(self, start: int) -> Iterator[Edge]:
+        """The missing edges from position ``start`` on; rows before it are skipped by count."""
+        for u, vs in self.rows():
+            gap = self.n - 1 - u - len(self._covered.get(u, ()))
+            if start < gap:
+                yield from zip(repeat(u), islice(vs, start, None))
+                start = 0
+            else:
+                start -= gap
+
+    def __iter__(self) -> Iterator[Edge]:
+        return self._walk(0)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __bool__(self) -> bool:
+        return self.size > 0
+
+    def __getitem__(self, index):
+        positions = range(self.size)[index]  # normalises negative indices, raises IndexError
+        if isinstance(positions, int):
+            return next(self._walk(positions))
+        if positions.step < 0:
+            return tuple(self)[index]
+        return tuple(islice(self._walk(positions.start), 0, max(positions.stop - positions.start, 0),
+                            positions.step))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MissingEdges):
+            return NotImplemented
+        return self.n == other.n and self._covered == other._covered
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.size))
+
+    def __repr__(self) -> str:
+        return f"MissingEdges(n={self.n}, size={self.size})"
+
+
 @dataclass(frozen=True)
 class CoverageReport:
+    """How a claim covers E(K_n).
+
+    ``missing`` is lazy (see ``MissingEdges``): ``analyze`` reads only whether
+    it is empty and text ``verify`` prints its count and first 20 edges, so
+    neither pays for listing the n² edges of an empty claim.
+    """
+
     total_edges: int
-    missing: tuple[Edge, ...]
+    missing: MissingEdges
     duplicated: tuple[tuple[Edge, int], ...]
 
 
@@ -67,32 +150,11 @@ def validate_decomposition(d: Decomposition) -> ValidationReport:
                 multiplicity[make_edge(star.center, leaf)] += 1
     k_violations = tuple(fi for fi, f in enumerate(d.forests) if len(f.stars) > d.k)
 
-    missing = tuple(_missing_edges(n, multiplicity))
+    missing = MissingEdges(n, multiplicity)
     duplicated = tuple(sorted((e, c) for e, c in multiplicity.items() if c > 1))
     coverage = CoverageReport(total_edges=n * (n - 1) // 2, missing=missing, duplicated=duplicated)
     ok = not malformed and not k_violations and not missing and not duplicated
     return ValidationReport(ok=ok, malformed=tuple(malformed), k_violations=k_violations, coverage=coverage)
-
-
-def _missing_edges(n: int, covered: Iterable[Edge]) -> list[Edge]:
-    """Edges of K_n absent from ``covered``, in lexicographic order.
-
-    Covered in-range edges are indexed by their lower endpoint, in a dict that
-    holds only rows with a covered edge, so the index is bounded by the input.
-    A row with no covered edge is emitted whole; a full row is skipped.
-    """
-    rows: dict[int, set[int]] = {}
-    for u, v in covered:
-        if v < n:
-            rows.setdefault(u, set()).add(v)
-    missing: list[Edge] = []
-    for u in range(n):
-        row = rows.get(u)
-        if row is None:
-            missing.extend(zip(repeat(u), range(u + 1, n)))
-        elif len(row) < n - 1 - u:
-            missing.extend((u, v) for v in range(u + 1, n) if v not in row)
-    return missing
 
 
 @dataclass(frozen=True)

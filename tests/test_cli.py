@@ -436,7 +436,8 @@ def token_soups(draw):
 @given(text=token_soups())
 def test_parse_and_verify_survive_token_soup(tmp_path_factory, text):
     # parse returns or raises ParseError; verify exits 0, 1 or 2 and reports a
-    # parse error as exactly one stderr line
+    # parse error as exactly one stderr line; verify --json and analyze --json
+    # print JSON whenever they do not exit 2
     try:
         parse(text)
         parse_error = None
@@ -444,12 +445,39 @@ def test_parse_and_verify_survive_token_soup(tmp_path_factory, text):
         parse_error = f"error: {exc}\n"
     path = tmp_path_factory.getbasetemp() / "soup.sfd"
     path.write_text(text)
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        rc = main(["verify", "--in", str(path)])
-    assert rc in (0, 1, 2)
-    if parse_error is not None:
-        assert (rc, out.getvalue(), err.getvalue()) == (2, "", parse_error)
+    for command in (["verify"], ["verify", "--json"], ["analyze", "--json"]):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main([*command, "--in", str(path)])
+        assert rc in (0, 1, 2)
+        if parse_error is not None:
+            assert (rc, out.getvalue(), err.getvalue()) == (2, "", parse_error)
+        elif command[0] == "analyze" and rc == 0:
+            assert "valid" in json.loads(out.getvalue())
+        elif command[1:] == ["--json"] and rc in (0, 1):
+            payload = json.loads(out.getvalue())
+            assert payload["covered_once"] + len(payload["missing"]) == payload["total_edges"]
+            assert payload["valid"] == (rc == 0)
+
+
+_BYTE_COMMANDS = [["verify"], ["verify", "--json"], ["analyze"], ["analyze", "--json"],
+                  ["export", "--format", "dot"], ["construct", "--family", "blowup", "--t", "2"]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(head=st.sampled_from(["decomposition v1\n", "decomposition v1\nn 8\nk 3\nforest\nstar 0 : 1 2\n"]),
+       data=st.binary(max_size=40), cut=st.integers(0, 40))
+def test_undecodable_bytes_after_header_exit_2(tmp_path_factory, head, data, cut):
+    # 0xff never occurs in UTF-8, so whatever bytes surround it the input is
+    # unreadable: one stderr line and exit 2, from every command that reads it
+    path = tmp_path_factory.getbasetemp() / "bytes.sfd"
+    path.write_bytes(head.encode() + data[:cut] + b"\xff" + data[cut:])
+    for command in _BYTE_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main([*command, "--in", str(path)])
+        assert (rc, out.getvalue()) == (2, "")
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_module_entry_point_construct(run_module):
@@ -468,3 +496,19 @@ def test_module_entry_point_verify_invalid_exit_1(run_module, tmp_path):
     proc = run_module("verify", "--in", str(pinned_input("k27_dropped", tmp_path)))
     assert (proc.returncode, proc.stderr) == (1, "")
     assert "valid: no" in proc.stdout
+
+
+def test_verify_huge_header_counts_missing_edges(run_module, tmp_path):
+    # an empty claim on 10^11 vertices misses ~5e21 edges; text verify counts
+    # them by arithmetic and lists 20, so it fits a 256 MB address space
+    path = tmp_path / "huge.sfd"
+    path.write_text("decomposition v1\nn 100000000000\nk 2\n")
+    proc = run_module("verify", "--in", str(path), address_space=256 << 20)
+    edges = " ".join(f"0-{v}" for v in range(1, 21))
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert proc.stdout == (
+        "valid: no\n"
+        "n=100000000000 k=2 forests=0 edges=4999999999950000000000\n"
+        f"missing (4999999999950000000000): {edges} ...\n"
+        "duplicated (0): -\n"
+    )

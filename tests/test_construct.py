@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -267,6 +268,12 @@ def test_f3_construction_counts():
 def test_provenance_aligned_with_forests():
     for out in (k27(), k16(), broken_double_star(3), f2_construction(8)):
         assert len(out.provenance) == out.forest_count
+
+
+def test_finalize_failure_lists_first_missing_edges():
+    # nine edges are missing; the message shows the first five as edge tuples
+    with pytest.raises(AssertionError, match=re.escape("missing=((0, 2), (0, 3), (0, 4), (1, 2), (1, 3)),")):
+        construct._finalize(5, 1, [("a", [(0, [1])])], family="short")
 
 
 def test_finalize_rejects_incomplete_table_under_optimize(run_optimized):

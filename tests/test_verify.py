@@ -1,11 +1,13 @@
 import dataclasses
+import io
+import json
+from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starforest import (
-    CoverageReport,
     Decomposition,
     NotApplicableError,
     PreconditionError,
@@ -16,6 +18,7 @@ from starforest import (
     check_counting_inequality,
     check_degree1_placement,
     check_no_isolated,
+    cli,
     complete_graph_edges,
     conjecture_construction,
     degree_profile,
@@ -63,6 +66,15 @@ def test_validate_detects_single_missing_edge():
     assert not rep.coverage.duplicated
 
 
+def test_coverage_reports_compare_by_claim():
+    # a lazy missing list compares and hashes by its claim, as a tuple of edges did
+    full, empty = (validate_decomposition(Decomposition(n=4, k=1, forests=fs)).coverage
+                   for fs in (staircase(4).forests, ()))
+    assert full == validate_decomposition(staircase(4)).coverage
+    assert hash(full) == hash(validate_decomposition(staircase(4)).coverage)
+    assert full != empty and full.missing != empty.missing
+
+
 def test_validate_separates_malformed_from_coverage():
     overlapping = Decomposition(
         n=4, k=2,
@@ -81,7 +93,8 @@ def test_validate_out_of_range_vertex():
     d = Decomposition(n=1, k=1, forests=(StarForest((Star(0, (1,)),)),))
     rep = validate_decomposition(d)
     assert rep.malformed == ("forest 0: vertex 1 out of range for n=1",)
-    assert rep.coverage == CoverageReport(total_edges=0, missing=(), duplicated=())
+    cov = rep.coverage
+    assert (cov.total_edges, tuple(cov.missing), cov.duplicated) == (0, (), ())
     assert not rep.ok
 
 
@@ -93,10 +106,31 @@ def brute_coverage(d: Decomposition) -> tuple[tuple, tuple]:
     return missing, duplicated
 
 
+# slices that a tuple of the oracle's missing edges answers the same way
+SLICES = [slice(None, 5), slice(None, 20), slice(-3, None), slice(2, None, 3), slice(4, 1), slice(None, None, -2)]
+
+
+def missing_rows_json(missing) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli._write_missing_rows(missing)
+    return f"[{out.getvalue()}]"
+
+
 def assert_coverage_matches_oracle(d: Decomposition) -> None:
     cov = validate_decomposition(d).coverage
-    assert (cov.missing, cov.duplicated) == brute_coverage(d)
-    assert type(cov.missing) is tuple and type(cov.duplicated) is tuple
+    missing, duplicated = brute_coverage(d)
+    lazy = cov.missing
+    assert (tuple(lazy), cov.duplicated) == (missing, duplicated)
+    assert type(cov.duplicated) is tuple
+    assert (len(lazy), lazy.size, bool(lazy)) == (len(missing), len(missing), bool(missing))
+    assert [lazy[s] for s in SLICES] == [missing[s] for s in SLICES]
+    assert [lazy[i] for i in range(-len(missing), len(missing))] == [*missing, *missing]
+    for i in (len(missing), -len(missing) - 1):
+        with pytest.raises(IndexError):
+            lazy[i]
+    # verify --json writes the list row by row; its text is json.dumps of the list
+    assert missing_rows_json(lazy) == json.dumps(list(missing))
 
 
 def one_star_forests(n: int, stars) -> Decomposition:
@@ -111,7 +145,8 @@ def one_star_forests(n: int, stars) -> Decomposition:
     (2, [(0, [1]), (1, [0])]),
     (4, [(0, [5]), (6, [1]), (3, [4]), (1, [5]), (5, [1])]),  # out of range covers nothing in K_4
     (6, [(0, [1, 2, 3, 4, 5]), (0, [5]), (1, [2, 3, 4, 5]), (3, [5]), (4, [5]), (4, [5])]),  # full, empty, partial rows
-], ids=["n1", "n2", "empty12", "n1-stray-dup", "n2-dup", "out-of-range", "rows"])
+    (5, [(0, [1, 2, 3]), (1, [2, 3, 4]), (2, [4, 7])]),  # one missing edge in each of rows 0, 2 and 3
+], ids=["n1", "n2", "empty12", "n1-stray-dup", "n2-dup", "out-of-range", "rows", "single-edge-rows"])
 def test_coverage_matches_oracle_cases(n, stars):
     assert_coverage_matches_oracle(one_star_forests(n, stars))
 
