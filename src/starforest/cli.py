@@ -1,9 +1,9 @@
 """Command-line surface: construct | verify | analyze | search | bounds | export.
 
 Exit codes: 0 success (verify: valid), 1 invalid decomposition, 2 usage,
-parse or unreadable-input errors, 3 search budget exceeded.  Output is
-byte-deterministic for a fixed argv and input file.  File writes go through a
-write-then-rename of a uniquely named temporary file beside the target.
+parse, unreadable-input or out-of-memory errors, 3 search budget exceeded.
+Output is byte-deterministic for a fixed argv and input file; file writes go
+through a write-then-rename of a uniquely named temporary file beside it.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 from pathlib import Path
 
 from .bounds import bound_report
@@ -148,8 +149,9 @@ def cmd_verify(args) -> int:
         }
         # JSON escapes every quote inside a string, so this key is the only match
         head, _, tail = json.dumps(payload, sort_keys=True).partition('"missing": []')
+        names = [str(v) for v in range(missing.n)]  # before any output: a MemoryError leaves stdout empty
         sys.stdout.write(head + '"missing": [')
-        _write_missing_rows(missing)
+        _write_missing_rows(missing, names)
         sys.stdout.write("]" + tail + "\n")
     else:
         print(f"valid: {'yes' if report.ok else 'no'}")
@@ -157,7 +159,7 @@ def cmd_verify(args) -> int:
             f"n={f.decomposition.n} k={f.decomposition.k} "
             f"forests={f.decomposition.forest_count} edges={report.coverage.total_edges}"
         )
-        _print_edge_list("missing", missing.size, missing[:20])
+        _print_edge_list("missing", missing.size, list(islice(missing, 20)))
         duplicated = report.coverage.duplicated
         _print_edge_list("duplicated", len(duplicated), [e for e, _ in duplicated[:20]])
         for msg in report.malformed[:20]:
@@ -167,14 +169,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
-def _write_missing_rows(missing: MissingEdges) -> None:
+def _write_missing_rows(missing: MissingEdges, names: list[str]) -> None:
     """Write the body of ``json.dumps(list(missing))`` one row at a time.
 
-    Row u's edges are one join over a table of vertex strings, so no int is
-    converted per edge; a row with no covered edge (a ``range``) joins a
-    slice of the table, which also skips the per-edge lookup.
+    Row u's edges are one join over ``names`` (``names[v] == str(v)``), so no
+    int is converted per edge; a row with no covered edge (a ``range``) joins
+    a slice of that table, which also skips the per-edge lookup.
     """
-    names = [str(v) for v in range(missing.n)]
     sep = ""
     for u, vs in missing.rows():
         cells = names[vs.start:] if isinstance(vs, range) else map(names.__getitem__, vs)
@@ -399,6 +400,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (DecompositionError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -10,6 +10,7 @@ leaf, which can only shrink or drop a star, so component bounds survive.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import islice
 
 from .core import (
     Decomposition,
@@ -82,7 +83,7 @@ def _finalize(
         raise AssertionError(
             f"{family}: construction failed validation "
             f"(malformed={report.malformed[:3]}, k_violations={report.k_violations[:3]}, "
-            f"missing={report.coverage.missing[:5]}, duplicated={report.coverage.duplicated[:5]})"
+            f"missing={tuple(islice(report.coverage.missing, 5))}, duplicated={report.coverage.duplicated[:5]})"
         )
     return ConstructionOutput(
         decomposition=d,

@@ -208,7 +208,8 @@ def f_exact(n: int, k: int, budget: SearchBudget | None = None) -> FExactResult:
 
     Every m below the answer yields an exhaustion token in ``attempts``.  If
     the budget dies first, the result carries the bracketing interval instead
-    of a value (n-1 single stars always work, hence the upper end).
+    of a value; if it dies at m = n-1, the answer is the staircase of n-1
+    single stars (forest i: center i, leaves i+1..n-1), as the search finds.
     """
     if n < 1 or k < 1:
         raise PreconditionError("needs n >= 1 and k >= 1")
@@ -236,5 +237,10 @@ def f_exact(n: int, k: int, budget: SearchBudget | None = None) -> FExactResult:
             break
     else:
         raise AssertionError("unreachable: n-1 single stars always decompose K_n")
+    if m == n - 1:  # each m < n-1 is exhausted or below the lower bound; n-1 single stars work
+        cert = Decomposition(n, k, tuple(StarForest((Star(i, tuple(range(i + 1, n))),)) for i in range(n - 1)))
+        if not validate_decomposition(cert).ok:
+            raise AssertionError
+        return FExactResult(SearchStatus.FOUND, m, cert, tuple(attempts), lb, (m, m), nodes)
     return FExactResult(SearchStatus.BUDGET_EXCEEDED, None, None,
                         tuple(attempts), lb, (m, n - 1), nodes)

@@ -13,10 +13,10 @@ checks used across the test suite:
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import filterfalse, islice, repeat
+from itertools import filterfalse, repeat
 
 from .core import (
     Decomposition,
@@ -32,24 +32,21 @@ class MissingEdges:
     """The edges of K_n that a claim leaves uncovered, in lexicographic order.
 
     Lazy: the object holds only the covered in-range edges, indexed by their
-    lower endpoint, so its memory follows the input and not n².  ``size`` is
-    the exact count, found by arithmetic.  Iteration, ``rows()`` and indexing
-    walk the rows on demand, so printing the first 20 edges of an empty claim
-    with a huge header costs 20 edges.  ``len()`` is ``size``, but Python
-    raises ``OverflowError`` for a length past ``sys.maxsize``; read ``size``
-    where n may be that large.  A slice is a tuple of edges, as from a tuple.
+    lower endpoint (``covered[u]`` is the set of covered v, u < v < n), so its
+    memory follows the input and not n².  ``size`` is the exact count, found
+    by arithmetic; ``len()`` is the same, but Python raises ``OverflowError``
+    past ``sys.maxsize``, so read ``size`` where n may be that large.
+    ``bool()`` tells whether any edge is missing.  Iteration and ``rows()``
+    walk the rows on demand, so ``islice(missing, 20)`` costs 20 edges even for
+    an empty claim with a huge header; there is no indexing.
     """
 
     __slots__ = ("n", "size", "_covered")
 
-    def __init__(self, n: int, covered: Iterable[Edge]) -> None:
-        rows: dict[int, set[int]] = {}
-        for u, v in covered:
-            if v < n:
-                rows.setdefault(u, set()).add(v)
+    def __init__(self, n: int, covered: dict[int, set[int]]) -> None:
         self.n = n
-        self._covered = rows
-        self.size = n * (n - 1) // 2 - sum(map(len, rows.values()))
+        self._covered = covered
+        self.size = n * (n - 1) // 2 - sum(map(len, covered.values()))
 
     def rows(self) -> Iterator[tuple[int, Iterable[int]]]:
         """Each row u with a missing edge, with the missing upper ends v > u in order.
@@ -64,33 +61,15 @@ class MissingEdges:
             elif len(row) < n - 1 - u:
                 yield u, filterfalse(row.__contains__, range(u + 1, n))
 
-    def _walk(self, start: int) -> Iterator[Edge]:
-        """The missing edges from position ``start`` on; rows before it are skipped by count."""
-        for u, vs in self.rows():
-            gap = self.n - 1 - u - len(self._covered.get(u, ()))
-            if start < gap:
-                yield from zip(repeat(u), islice(vs, start, None))
-                start = 0
-            else:
-                start -= gap
-
     def __iter__(self) -> Iterator[Edge]:
-        return self._walk(0)
+        for u, vs in self.rows():
+            yield from zip(repeat(u), vs)
 
     def __len__(self) -> int:
         return self.size
 
     def __bool__(self) -> bool:
         return self.size > 0
-
-    def __getitem__(self, index):
-        positions = range(self.size)[index]  # normalises negative indices, raises IndexError
-        if isinstance(positions, int):
-            return next(self._walk(positions))
-        if positions.step < 0:
-            return tuple(self)[index]
-        return tuple(islice(self._walk(positions.start), 0, max(positions.stop - positions.start, 0),
-                            positions.step))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MissingEdges):
@@ -108,9 +87,11 @@ class MissingEdges:
 class CoverageReport:
     """How a claim covers E(K_n).
 
-    ``missing`` is lazy (see ``MissingEdges``): ``analyze`` reads only whether
-    it is empty and text ``verify`` prints its count and first 20 edges, so
-    neither pays for listing the n² edges of an empty claim.
+    ``missing`` is lazy (see ``MissingEdges``): iterate it for the edges, read
+    ``size`` (or ``len``) for their count and ``bool`` for whether there are
+    any, and take a prefix with ``itertools.islice``, so no reader pays for
+    listing the n² edges of an empty claim.  ``duplicated`` holds each edge
+    covered more than once, endpoints outside K_n included, with its count.
     """
 
     total_edges: int
@@ -136,22 +117,29 @@ def validate_decomposition(d: Decomposition) -> ValidationReport:
     """
     n = d.n
     malformed: list[str] = []
-    multiplicity: Counter[Edge] = Counter()
+    rows: defaultdict[int, set[int]] = defaultdict(set)  # covered edges of K_n: lower end -> upper ends
+    stray: defaultdict[int, set[int]] = defaultdict(set)  # the same for edges with an endpoint >= n
+    extra: Counter[Edge] = Counter()  # copies of an edge past its first
     for fi, forest in enumerate(d.forests):
         seen: set[int] = set()
         for star in forest.stars:
-            for v in (star.center, *star.leaves):
+            c = star.center
+            for v in (c, *star.leaves):
                 if v >= n:
                     malformed.append(f"forest {fi}: vertex {v} out of range for n={n}")
                 if v in seen:
                     malformed.append(f"forest {fi}: vertex {v} appears in more than one star")
                 seen.add(v)
             for leaf in star.leaves:
-                multiplicity[make_edge(star.center, leaf)] += 1
+                u, v = (c, leaf) if c < leaf else (leaf, c)
+                row = (rows if v < n else stray)[u]
+                if v in row:
+                    extra[u, v] += 1
+                row.add(v)
     k_violations = tuple(fi for fi, f in enumerate(d.forests) if len(f.stars) > d.k)
 
-    missing = MissingEdges(n, multiplicity)
-    duplicated = tuple(sorted((e, c) for e, c in multiplicity.items() if c > 1))
+    missing = MissingEdges(n, rows)
+    duplicated = tuple(sorted((e, c + 1) for e, c in extra.items()))
     coverage = CoverageReport(total_edges=n * (n - 1) // 2, missing=missing, duplicated=duplicated)
     ok = not malformed and not k_violations and not missing and not duplicated
     return ValidationReport(ok=ok, malformed=tuple(malformed), k_violations=k_violations, coverage=coverage)

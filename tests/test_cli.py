@@ -198,8 +198,14 @@ def test_nan_timeout_exit_2(capsys, command):
 
 
 def test_search_budget_exit_code(capsys):
-    rc, out, _ = run(capsys, ["search", "--n", "6", "--k", "2", "--max-nodes", "5"])
+    rc, out, _ = run(capsys, ["search", "--n", "7", "--k", "2", "--max-nodes", "5"])
     assert rc == 3
+
+
+def test_search_settles_n_minus_1_when_the_budget_ends_there(capsys):
+    # the 5992 nodes exhaust m=5; F_1(7) = 6 then needs no search
+    assert run(capsys, ["search", "--n", "7", "--k", "1", "--max-nodes", "5992"]) == (
+        0, "F_1(7) = 6 (nodes=5992)\n", "")
 
 
 def test_search_writes_certificate(capsys, tmp_path):
@@ -432,12 +438,16 @@ def token_soups(draw):
     return head + "\n".join(draw(st.lists(_SOUP_LINES, max_size=8))) + "\n"
 
 
+# commands that turn the file they read into another one; they judge no claim, so never exit 1
+_SOUP_WRITERS = [["export", "--format", "dot"], ["construct", "--family", "blowup", "--t", "2"]]
+
+
 @settings(max_examples=300, deadline=None)
 @given(text=token_soups())
 def test_parse_and_verify_survive_token_soup(tmp_path_factory, text):
-    # parse returns or raises ParseError; verify exits 0, 1 or 2 and reports a
-    # parse error as exactly one stderr line; verify --json and analyze --json
-    # print JSON whenever they do not exit 2
+    # parse returns or raises ParseError; verify exits 0, 1 or 2, export and
+    # blowup 0 or 2, and each reports a parse error as exactly one stderr line;
+    # verify --json and analyze --json print JSON whenever they do not exit 2
     try:
         parse(text)
         parse_error = None
@@ -445,11 +455,11 @@ def test_parse_and_verify_survive_token_soup(tmp_path_factory, text):
         parse_error = f"error: {exc}\n"
     path = tmp_path_factory.getbasetemp() / "soup.sfd"
     path.write_text(text)
-    for command in (["verify"], ["verify", "--json"], ["analyze", "--json"]):
+    for command in (["verify"], ["verify", "--json"], ["analyze", "--json"], *_SOUP_WRITERS):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             rc = main([*command, "--in", str(path)])
-        assert rc in (0, 1, 2)
+        assert rc in ((0, 2) if command in _SOUP_WRITERS else (0, 1, 2))
         if parse_error is not None:
             assert (rc, out.getvalue(), err.getvalue()) == (2, "", parse_error)
         elif command[0] == "analyze" and rc == 0:
@@ -512,3 +522,13 @@ def test_verify_huge_header_counts_missing_edges(run_module, tmp_path):
         f"missing (4999999999950000000000): {edges} ...\n"
         "duplicated (0): -\n"
     )
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["verify", "--json"], ["export", "--format", "dot"]])
+def test_huge_header_out_of_memory_exits_2(run_module, tmp_path, command):
+    # these need a table with one entry per vertex; on 10^11 vertices that
+    # fails in a 256 MB address space with one stderr line, and before any output
+    path = tmp_path / "huge.sfd"
+    path.write_text("decomposition v1\nn 100000000000\nk 2\n")
+    proc = run_module(*command, "--in", str(path), address_space=256 << 20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")

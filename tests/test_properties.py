@@ -5,6 +5,7 @@ the build."""
 
 import dataclasses
 from functools import lru_cache
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -67,7 +68,7 @@ def permute(d: Decomposition, perm: list[int]) -> Decomposition:
 @pytest.mark.parametrize("name,d", corpus(), ids=[n for n, _ in corpus()])
 def test_every_corpus_member_is_a_valid_decomposition(name, d):
     rep = validate_decomposition(d)
-    assert rep.ok, (name, rep.malformed[:3], rep.coverage.missing[:3], rep.coverage.duplicated[:3])
+    assert rep.ok, (name, rep.malformed[:3], tuple(islice(rep.coverage.missing, 3)), rep.coverage.duplicated[:3])
 
 
 @pytest.mark.parametrize("name,d", corpus(), ids=[n for n, _ in corpus()])

@@ -5,6 +5,7 @@ from functools import lru_cache
 import pytest
 
 from starforest import (
+    Decomposition,
     PreconditionError,
     SearchBudget,
     SearchStatus,
@@ -129,25 +130,39 @@ def test_budget_of_exactly_the_nodes_needed_finds():
 
 
 def test_f_exact_budget_bracketing():
-    res = f_exact(6, 2, SearchBudget(max_nodes=10))
+    res = f_exact(7, 2, SearchBudget(max_nodes=10))
     assert res.status is SearchStatus.BUDGET_EXCEEDED
     assert res.value is None
     lo, hi = res.interval
-    assert lo <= 5 <= hi
+    assert lo <= 6 <= hi
+
+
+def staircase(n: int, k: int) -> Decomposition:
+    return Decomposition(n=n, k=k, forests=tuple(
+        StarForest((Star(i, tuple(range(i + 1, n))),)) for i in range(n - 1)))
 
 
 def test_f_exact_budget_runs_out_inside_and_after_an_exhaustion():
     # F_1(7) = 6 from the lower bound 5.  Exhausting m=5 visits 5992 nodes, and
     # a search visits at most max_nodes nodes: one short of 5992 stops inside
-    # the exhaustion, and exactly 5992 completes it with nothing left for m=6.
+    # the exhaustion, and exactly 5992 completes it with nothing left for m=6,
+    # which n-1 = 6 single stars settle without a search.
     res = f_exact(7, 1, SearchBudget(max_nodes=5991))
     assert res.status is SearchStatus.BUDGET_EXCEEDED
     assert res.attempts == ((5, SearchStatus.BUDGET_EXCEEDED),)
     assert (res.interval, res.nodes_explored) == ((5, 6), 5991)
     res = f_exact(7, 1, SearchBudget(max_nodes=5992))
-    assert res.status is SearchStatus.BUDGET_EXCEEDED
+    assert (res.status, res.value, res.certificate) == (SearchStatus.FOUND, 6, staircase(7, 1))
     assert res.attempts == ((5, SearchStatus.EXHAUSTED_NOT_FOUND),)
     assert (res.interval, res.nodes_explored) == ((6, 6), 5992)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_search_certificate_at_n_minus_1_is_the_staircase(n):
+    # so the certificate f_exact gives for n-1 without searching is the one
+    # the search finds
+    for k in range(1, n + 1):
+        assert exists_decomposition(n, k, n - 1).certificate == staircase(n, k)
 
 
 def test_certificate_deterministic():
