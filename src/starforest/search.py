@@ -4,9 +4,15 @@ Edges are assigned to forests one at a time in lexicographic order.  Each
 forest f keeps one int per vertex in ``star[f]``: -1 means absent, c >= 0 a
 leaf of center c, and -1-j a center with j leaves.  A two-vertex star (its
 center reads -2) stays orientation-flexible: its leaf may still be promoted to
-center by a later edge, which is what makes the enumeration complete.  Every
-move returns the (vertex, old value) pairs it overwrote, and undo writes them
-back.  Pruning:
+center by a later edge, which is what makes the enumeration complete.
+
+One recursive kernel places an edge (u, v) in forest f by a single dispatch
+on its present endpoint p (u if neither endpoint is present), the absent one
+q and p's old value: q always becomes a leaf of p, and p becomes a center
+with one more leaf, whether it was absent (a new star) or a center already;
+a leaf p of a flexible star is first promoted, its old center becoming its
+leaf.  Undo writes -1 back to q, p's old value to p and, after a promotion,
+-2 to the old center.  Pruning:
 
 * both endpoints already in the forest -> never legal (cycle or non-star path),
 * per-forest component bound k,
@@ -78,15 +84,12 @@ class _Searcher:
         self.comps = [0] * m  # stars per forest; a forest is in use iff > 0
         self.assign = [0] * len(self.edges)  # forest chosen for each edge
         self.tie = [0] * n  # leading rows on which columns v-1 and v agree
-        self.slack = m * (n - 1) - len(self.edges)  # edge-count slack, see above
-        self.used = 0  # forests with a star; forest symmetry keeps them a prefix
-        self.nodes = 0
         self.max_nodes = budget.max_nodes
         self.deadline = time.monotonic() + budget.wall_time
 
     def run(self) -> SearchResult:
         try:
-            found = self._solve(0)
+            found = self._search()
         except _BudgetStop:
             return SearchResult(SearchStatus.BUDGET_EXCEEDED, None, self.nodes)
         if not found:
@@ -96,75 +99,81 @@ class _Searcher:
             raise AssertionError
         return SearchResult(SearchStatus.FOUND, cert, self.nodes)
 
-    def _solve(self, idx: int) -> bool:
-        if idx == len(self.edges):
-            return True
-        if self.slack < 0:
-            return False
-        u, v = self.edges[idx]
-        limit = self.used + 1 if self.used < self.m else self.m
-        # column rule: while columns v-1 and v agree on rows < u, the edge
-        # (u, v-1) just before this one sets the lowest admissible forest
-        tied = v > u + 1 and self.tie[v] == u
-        lo = self.assign[idx - 1] if tied else 0
-        for f in range(lo, limit):
-            undo = self._try_assign(f, u, v)
-            if undo is None:
-                continue
-            if self.nodes == self.max_nodes:
-                raise _BudgetStop
-            self.nodes += 1
-            if self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
-                raise _BudgetStop
-            self.assign[idx] = f
-            if tied:
-                self.tie[v] = u + 1 if f == lo else u
-            if self._solve(idx + 1):
+    def _search(self) -> bool:
+        """Run the backtracking kernel from the first edge; True once every
+        edge is placed, with the assignment left in ``star`` and ``comps``."""
+        edges, star, comps, assign, tie = self.edges, self.star, self.comps, self.assign, self.tie
+        k, m, max_nodes, deadline = self.k, self.m, self.max_nodes, self.deadline
+        monotonic = time.monotonic
+        end = len(edges)
+        used = 0  # forests with a star; forest symmetry keeps them a prefix
+        slack = m * (self.n - 1) - end  # edge-count slack, see above
+        nodes = 0
+
+        def solve(idx: int) -> bool:
+            nonlocal used, slack, nodes
+            if idx == end:
                 return True
-            self._undo(f, undo)
-        if tied:
-            self.tie[v] = u
-        return False
+            if slack < 0:
+                return False
+            u, v = edges[idx]
+            limit = used + 1 if used < m else m
+            # column rule: while columns v-1 and v agree on rows < u, the edge
+            # (u, v-1) just before this one sets the lowest admissible forest
+            tied = v > u + 1 and tie[v] == u
+            lo = assign[idx - 1] if tied else 0
+            for f in range(lo, limit):
+                s = star[f]
+                # p is the endpoint already present (u if neither is), q the absent one
+                sp = s[u]
+                if sp == -1 != s[v]:
+                    p, q, sp = v, u, s[v]
+                else:
+                    p, q = u, v
+                if s[q] != -1:
+                    continue  # both present
+                if sp >= 0:  # p is a leaf of sp: promote it if its star is flexible
+                    if s[sp] != -2:
+                        continue
+                    s[sp], s[p] = p, -3
+                else:  # p is a center (attach q) or absent (new star centered at p)
+                    if sp == -1:
+                        if comps[f] >= k:
+                            continue
+                        comps[f] += 1
+                        if comps[f] == 1:
+                            used += 1
+                        else:
+                            slack -= 1
+                    s[p] = sp - 1
+                s[q] = p
+                if nodes == max_nodes:
+                    raise _BudgetStop
+                nodes += 1
+                if nodes % 4096 == 0 and monotonic() > deadline:
+                    raise _BudgetStop
+                assign[idx] = f
+                if tied:
+                    tie[v] = u + 1 if f == lo else u
+                if solve(idx + 1):
+                    return True
+                s[q], s[p] = -1, sp
+                if sp >= 0:
+                    s[sp] = -2
+                elif sp == -1:
+                    comps[f] -= 1
+                    if comps[f] == 0:
+                        used -= 1
+                    else:
+                        slack += 1
+            if tied:
+                tie[v] = u
+            return False
 
-    def _try_assign(self, f: int, u: int, v: int):
-        """Put edge (u, v) into forest f; return the (vertex, old value) pairs
-        it overwrote, or None if the edge does not fit."""
-        star = self.star[f]
-        su, sv = star[u], star[v]
-        if su != -1 and sv != -1:
-            return None
-        if su == sv:  # both absent
-            if self.comps[f] >= self.k:
-                return None
-            # provisionally center the lower endpoint; a later edge may flip it
-            star[u], star[v] = -2, u
-            self.comps[f] += 1
-            if self.comps[f] == 1:
-                self.used += 1
-            else:
-                self.slack -= 1
-            return ((u, -1), (v, -1))
-        if sv != -1:  # exactly one endpoint present: normalize so it is u
-            u, v, su = v, u, sv
-        if su < -1:  # u is a center: attach v
-            star[u], star[v] = su - 1, u
-            return ((u, su), (v, -1))
-        if star[su] != -2:
-            return None  # u is a committed leaf
-        # flexible two-vertex star: promote u to center, demote its center su
-        star[su], star[u], star[v] = u, -3, u
-        return ((su, -2), (u, su), (v, -1))
-
-    def _undo(self, f: int, undo) -> None:
-        star = self.star[f]
-        for w, old in undo:
-            star[w] = old
-        if undo[0][1] == -1:  # only a new star overwrites an absent first vertex
-            self.comps[f] -= 1
-            if self.comps[f] == 0:
-                self.used -= 1
-            else:
-                self.slack += 1
+        try:
+            return solve(0)
+        finally:
+            self.nodes = nodes
 
     def _certificate(self) -> Decomposition:
         forests = []
@@ -189,6 +198,8 @@ def exists_decomposition(n: int, k: int, m: int, budget: SearchBudget | None = N
     """
     if n < 1 or k < 1 or m < 1:
         raise PreconditionError("needs n >= 1, k >= 1, m >= 1")
+    if m * (n - 1) < n * (n - 1) // 2:  # slack < 0 at the root: decided before allocating K_n
+        return SearchResult(SearchStatus.EXHAUSTED_NOT_FOUND, None, 0)
     return _Searcher(n, k, m, budget or SearchBudget()).run()
 
 

@@ -202,6 +202,13 @@ def test_search_budget_exit_code(capsys):
     assert rc == 3
 
 
+def test_search_timeout_stops_at_the_first_deadline_check(capsys):
+    # the deadline is read every 4096 nodes, first at node 4096
+    rc, out, _ = run(capsys, ["search", "--n", "7", "--k", "2", "--max-forests", "5",
+                              "--timeout", "1e-9", "--json"])
+    assert (rc, json.loads(out)) == (3, {"nodes": 4096, "status": "budget-exceeded"})
+
+
 def test_search_settles_n_minus_1_when_the_budget_ends_there(capsys):
     # the 5992 nodes exhaust m=5; F_1(7) = 6 then needs no search
     assert run(capsys, ["search", "--n", "7", "--k", "1", "--max-nodes", "5992"]) == (
@@ -532,3 +539,12 @@ def test_huge_header_out_of_memory_exits_2(run_module, tmp_path, command):
     path.write_text("decomposition v1\nn 100000000000\nk 2\n")
     proc = run_module(*command, "--in", str(path), address_space=256 << 20)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
+
+
+def test_search_refuted_at_the_root_allocates_nothing(run_module):
+    # 3 forests hold at most 3(n-1) < n(n-1)/2 edges, so the answer needs no
+    # K_n edge list, which on 10^6 vertices would not fit 256 MB
+    proc = run_module("search", "--n", "1000000", "--k", "2", "--max-forests", "3", "--json",
+                      address_space=256 << 20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, '{"nodes": 0, "status": "exhausted-not-found"}\n', "")

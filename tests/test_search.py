@@ -104,9 +104,12 @@ def test_f_exact_n7_fast_cases():
 
 
 @pytest.mark.skipif(not os.environ.get("STARFOREST_SLOW"),
-                    reason="~8s exhaustion; set STARFOREST_SLOW=1 to run")
+                    reason="~4s exhaustion; set STARFOREST_SLOW=1 to run")
 def test_f_exact_n7_two_star_slow():
-    assert f_exact(7, 2).value == 6  # matches ceil(3*7/4)
+    res = f_exact(7, 2)
+    assert res.value == 6  # matches ceil(3*7/4)
+    assert res.attempts == ((5, SearchStatus.EXHAUSTED_NOT_FOUND), (6, SearchStatus.FOUND))
+    assert res.nodes_explored == 2_597_193
 
 
 def test_certificates_respect_budgets():
@@ -127,6 +130,12 @@ def test_budget_of_exactly_the_nodes_needed_finds():
     assert exists_decomposition(7, 3, 5, SearchBudget(max_nodes=1125)).status is SearchStatus.FOUND
     res = exists_decomposition(7, 3, 5, SearchBudget(max_nodes=1124))
     assert (res.status, res.nodes_explored) == (SearchStatus.BUDGET_EXCEEDED, 1124)
+
+
+def test_wall_time_stops_at_the_first_deadline_check():
+    # the deadline is read every 4096 nodes, so even an expired one lets 4096 run
+    res = exists_decomposition(7, 2, 5, SearchBudget(wall_time=1e-9))
+    assert (res.status, res.certificate, res.nodes_explored) == (SearchStatus.BUDGET_EXCEEDED, None, 4096)
 
 
 def test_f_exact_budget_bracketing():
