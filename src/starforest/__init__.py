@@ -37,7 +37,6 @@ from .core import (
     complete_graph_edges,
     forest_edges,
     make_edge,
-    relabel,
 )
 from .fileio import (
     DecompositionFile,

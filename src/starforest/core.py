@@ -7,7 +7,7 @@ attached through :class:`LabelScheme`; they never change how edges are stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 Edge = tuple[int, int]
 
@@ -182,13 +182,3 @@ class Decomposition:
 
     def total_edge_slots(self) -> int:
         return sum(f.edge_count() for f in self.forests)
-
-
-def relabel(d: Decomposition, scheme: LabelScheme) -> Decomposition:
-    """Attach a label scheme to a decomposition.  Pure metadata: edges unchanged."""
-    expected = scheme.expected_n()
-    if expected is not None and expected != d.n:
-        raise LabelSchemeError(
-            f"label scheme {scheme.name!r} describes n={expected}, decomposition has n={d.n}"
-        )
-    return replace(d, labels=scheme)

@@ -31,7 +31,11 @@ leaf.  Undo writes -1 back to q, p's old value to p and, after a promotion,
 
 A node is one legal edge placement.  A search visits at most ``max_nodes``
 nodes: one that needs exactly ``max_nodes`` finishes, and the next placement
-past the budget stops it with BUDGET_EXCEEDED.
+past the budget stops it with BUDGET_EXCEEDED.  The kernel recurses once per
+edge, so a search that would recurse deeper than Python's recursion limit
+stops as BUDGET_EXCEEDED too.  At the default limit of 1000 that happens from
+n = 46 (1035 edges), and at n = 45 (990 edges) when the caller's own stack is
+more than about ten frames deep.
 
 Single-threaded and deterministic: the certificate returned is the first one
 found in canonical order, i.e. the lexicographically smallest valid
@@ -76,120 +80,6 @@ class _BudgetStop(Exception):
     pass
 
 
-class _Searcher:
-    def __init__(self, n: int, k: int, m: int, budget: SearchBudget):
-        self.n, self.k, self.m = n, k, m
-        self.edges = complete_graph_edges(n)
-        self.star = [[-1] * n for _ in range(m)]  # per-vertex state, see above
-        self.comps = [0] * m  # stars per forest; a forest is in use iff > 0
-        self.assign = [0] * len(self.edges)  # forest chosen for each edge
-        self.tie = [0] * n  # leading rows on which columns v-1 and v agree
-        self.max_nodes = budget.max_nodes
-        self.deadline = time.monotonic() + budget.wall_time
-
-    def run(self) -> SearchResult:
-        try:
-            found = self._search()
-        except _BudgetStop:
-            return SearchResult(SearchStatus.BUDGET_EXCEEDED, None, self.nodes)
-        if not found:
-            return SearchResult(SearchStatus.EXHAUSTED_NOT_FOUND, None, self.nodes)
-        cert = self._certificate()
-        if not validate_decomposition(cert).ok:
-            raise AssertionError
-        return SearchResult(SearchStatus.FOUND, cert, self.nodes)
-
-    def _search(self) -> bool:
-        """Run the backtracking kernel from the first edge; True once every
-        edge is placed, with the assignment left in ``star`` and ``comps``."""
-        edges, star, comps, assign, tie = self.edges, self.star, self.comps, self.assign, self.tie
-        k, m, max_nodes, deadline = self.k, self.m, self.max_nodes, self.deadline
-        monotonic = time.monotonic
-        end = len(edges)
-        used = 0  # forests with a star; forest symmetry keeps them a prefix
-        slack = m * (self.n - 1) - end  # edge-count slack, see above
-        nodes = 0
-
-        def solve(idx: int) -> bool:
-            nonlocal used, slack, nodes
-            if idx == end:
-                return True
-            if slack < 0:
-                return False
-            u, v = edges[idx]
-            limit = used + 1 if used < m else m
-            # column rule: while columns v-1 and v agree on rows < u, the edge
-            # (u, v-1) just before this one sets the lowest admissible forest
-            tied = v > u + 1 and tie[v] == u
-            lo = assign[idx - 1] if tied else 0
-            for f in range(lo, limit):
-                s = star[f]
-                # p is the endpoint already present (u if neither is), q the absent one
-                sp = s[u]
-                if sp == -1 != s[v]:
-                    p, q, sp = v, u, s[v]
-                else:
-                    p, q = u, v
-                if s[q] != -1:
-                    continue  # both present
-                if sp >= 0:  # p is a leaf of sp: promote it if its star is flexible
-                    if s[sp] != -2:
-                        continue
-                    s[sp], s[p] = p, -3
-                else:  # p is a center (attach q) or absent (new star centered at p)
-                    if sp == -1:
-                        if comps[f] >= k:
-                            continue
-                        comps[f] += 1
-                        if comps[f] == 1:
-                            used += 1
-                        else:
-                            slack -= 1
-                    s[p] = sp - 1
-                s[q] = p
-                if nodes == max_nodes:
-                    raise _BudgetStop
-                nodes += 1
-                if nodes % 4096 == 0 and monotonic() > deadline:
-                    raise _BudgetStop
-                assign[idx] = f
-                if tied:
-                    tie[v] = u + 1 if f == lo else u
-                if solve(idx + 1):
-                    return True
-                s[q], s[p] = -1, sp
-                if sp >= 0:
-                    s[sp] = -2
-                elif sp == -1:
-                    comps[f] -= 1
-                    if comps[f] == 0:
-                        used -= 1
-                    else:
-                        slack += 1
-            if tied:
-                tie[v] = u
-            return False
-
-        try:
-            return solve(0)
-        finally:
-            self.nodes = nodes
-
-    def _certificate(self) -> Decomposition:
-        forests = []
-        for f in range(self.m):
-            if self.comps[f] == 0:
-                break
-            star = self.star[f]
-            stars = tuple(
-                Star(c, tuple(v for v in range(self.n) if star[v] == c))
-                for c in range(self.n)
-                if star[c] < -1
-            )
-            forests.append(StarForest(stars))
-        return Decomposition(n=self.n, k=self.k, forests=tuple(forests))
-
-
 def exists_decomposition(n: int, k: int, m: int, budget: SearchBudget | None = None) -> SearchResult:
     """Search for a decomposition of K_n into at most m k-star-forests.
 
@@ -200,7 +90,93 @@ def exists_decomposition(n: int, k: int, m: int, budget: SearchBudget | None = N
         raise PreconditionError("needs n >= 1, k >= 1, m >= 1")
     if m * (n - 1) < n * (n - 1) // 2:  # slack < 0 at the root: decided before allocating K_n
         return SearchResult(SearchStatus.EXHAUSTED_NOT_FOUND, None, 0)
-    return _Searcher(n, k, m, budget or SearchBudget()).run()
+    budget = budget or SearchBudget()
+    max_nodes = budget.max_nodes
+    monotonic = time.monotonic
+    deadline = monotonic() + budget.wall_time
+    edges = complete_graph_edges(n)
+    star = [[-1] * n for _ in range(m)]  # per-vertex state, see above
+    comps = [0] * m  # stars per forest; a forest is in use iff > 0
+    assign = [0] * len(edges)  # forest chosen for each edge
+    tie = [0] * n  # leading rows on which columns v-1 and v agree
+    end = len(edges)
+    used = 0  # forests with a star; forest symmetry keeps them a prefix
+    slack = m * (n - 1) - end  # edge-count slack, see above
+    nodes = 0
+
+    def solve(idx: int) -> bool:
+        nonlocal used, slack, nodes
+        if idx == end:
+            return True
+        if slack < 0:
+            return False
+        u, v = edges[idx]
+        limit = used + 1 if used < m else m
+        # column rule: while columns v-1 and v agree on rows < u, the edge
+        # (u, v-1) just before this one sets the lowest admissible forest
+        tied = v > u + 1 and tie[v] == u
+        lo = assign[idx - 1] if tied else 0
+        for f in range(lo, limit):
+            s = star[f]
+            # p is the endpoint already present (u if neither is), q the absent one
+            sp = s[u]
+            if sp == -1 != s[v]:
+                p, q, sp = v, u, s[v]
+            else:
+                p, q = u, v
+            if s[q] != -1:
+                continue  # both present
+            if sp >= 0:  # p is a leaf of sp: promote it if its star is flexible
+                if s[sp] != -2:
+                    continue
+                s[sp], s[p] = p, -3
+            else:  # p is a center (attach q) or absent (new star centered at p)
+                if sp == -1:
+                    if comps[f] >= k:
+                        continue
+                    comps[f] += 1
+                    if comps[f] == 1:
+                        used += 1
+                    else:
+                        slack -= 1
+                s[p] = sp - 1
+            s[q] = p
+            if nodes == max_nodes:
+                raise _BudgetStop
+            nodes += 1
+            if nodes % 4096 == 0 and monotonic() > deadline:
+                raise _BudgetStop
+            assign[idx] = f
+            if tied:
+                tie[v] = u + 1 if f == lo else u
+            if solve(idx + 1):
+                return True
+            s[q], s[p] = -1, sp
+            if sp >= 0:
+                s[sp] = -2
+            elif sp == -1:
+                comps[f] -= 1
+                if comps[f] == 0:
+                    used -= 1
+                else:
+                    slack += 1
+        if tied:
+            tie[v] = u
+        return False
+
+    try:
+        found = solve(0)
+    except (_BudgetStop, RecursionError):  # a recursion too deep for Python is a budget too
+        return SearchResult(SearchStatus.BUDGET_EXCEEDED, None, nodes)
+    if not found:
+        return SearchResult(SearchStatus.EXHAUSTED_NOT_FOUND, None, nodes)
+    cert = Decomposition(n=n, k=k, forests=tuple(
+        StarForest(tuple(Star(c, tuple(v for v in range(n) if s[v] == c)) for c in range(n) if s[c] < -1))
+        for s in star[:used]
+    ))
+    if not validate_decomposition(cert).ok:
+        raise AssertionError
+    return SearchResult(SearchStatus.FOUND, cert, nodes)
 
 
 @dataclass(frozen=True)

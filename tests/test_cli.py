@@ -202,6 +202,22 @@ def test_search_budget_exit_code(capsys):
     assert rc == 3
 
 
+def test_search_deeper_than_the_recursion_limit_is_budget_exceeded(capsys):
+    # K_50 has 1225 edges and the kernel recurses once per edge; the node count
+    # at the stop depends on the caller's stack depth, so it is not pinned
+    rc, out, err = run(capsys, ["search", "--n", "50", "--k", "2", "--max-forests", "40",
+                                "--max-nodes", "100000"])
+    assert (rc, err) == (3, "")
+    assert out.startswith("status: budget-exceeded (nodes=")
+
+
+def test_bounds_with_search_deeper_than_the_recursion_limit_keeps_the_row(capsys):
+    rc, plain, _ = run(capsys, ["bounds", "--n", "50", "--k", "2"])
+    assert rc == 0
+    assert run(capsys, ["bounds", "--n", "50", "--k", "2", "--with-search",
+                        "--max-nodes", "3000"]) == (0, plain, "")
+
+
 def test_search_timeout_stops_at_the_first_deadline_check(capsys):
     # the deadline is read every 4096 nodes, first at node 4096
     rc, out, _ = run(capsys, ["search", "--n", "7", "--k", "2", "--max-forests", "5",

@@ -1,7 +1,6 @@
 import pytest
 
 from starforest import (
-    Decomposition,
     LabelScheme,
     LabelSchemeError,
     MalformedForestError,
@@ -12,9 +11,7 @@ from starforest import (
     complete_graph_edges,
     forest_edges,
     k27,
-    k16,
     make_edge,
-    relabel,
 )
 
 
@@ -95,22 +92,3 @@ def test_label_schemes():
         LabelScheme("f3cube", 2)
     with pytest.raises(LabelSchemeError):
         LabelScheme("nosuch")
-
-
-def test_relabel_is_metadata_only():
-    d = k27().decomposition
-    r = relabel(d, LabelScheme("f3cube"))
-    assert r.forests == d.forests
-    assert r.labels == LabelScheme("f3cube")
-
-
-def test_relabel_k16_block_scheme():
-    d = k16().decomposition
-    r = relabel(d, LabelScheme("block12m4", 1))
-    assert r.forests == d.forests
-
-
-def test_relabel_rejects_wrong_n():
-    d = Decomposition(n=4, k=2, forests=())
-    with pytest.raises(LabelSchemeError):
-        relabel(d, LabelScheme("f3cube"))
