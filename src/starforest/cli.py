@@ -114,19 +114,7 @@ def cmd_construct(args) -> int:
     for flag in flags:
         if getattr(args, flag) is None:
             raise DecompositionError(f"--{flag} is required for the {args.family} family")
-    out = build(args)
-
-    meta: dict[str, str] = {}
-    if out.leftover_matching is not None:
-        meta["matching"] = " ".join(f"{u}-{v}" for u, v in out.leftover_matching)
-    text = serialize(
-        out.decomposition,
-        family=out.family,
-        provenance=out.provenance,
-        raw_duplicates=out.raw_duplicates,
-        meta=meta,
-    )
-    _emit(text, args.out)
+    _emit(serialize(build(args)), args.out)
     return EXIT_OK
 
 
@@ -286,7 +274,7 @@ def cmd_search(args) -> int:
                     f"(budget exceeded, nodes={res.nodes_explored})")
     print(json.dumps(payload, sort_keys=True) if args.json else text)
     if res.certificate is not None and args.cert:
-        _write_atomic(args.cert, serialize(res.certificate, family="search"))
+        _write_atomic(args.cert, serialize(DecompositionFile(res.certificate, family="search")))
     return EXIT_BUDGET if res.status is SearchStatus.BUDGET_EXCEEDED else EXIT_OK
 
 

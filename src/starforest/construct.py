@@ -28,14 +28,9 @@ RawStar = tuple[int, list[int]]
 RawForest = list[RawStar]
 
 
-@dataclass(frozen=True)
-class ConstructionOutput:
-    decomposition: Decomposition
-    family: str
-    raw_duplicates: tuple[Edge, ...]  # edges the pre-dedup tables covered more than once
-    provenance: tuple[str, ...]  # forest index -> family-member name
+@dataclass(frozen=True, kw_only=True)
+class ConstructionOutput(DecompositionFile):
     raw_edge_slots: tuple[int, ...]  # pre-dedup leaf count per forest
-    leftover_matching: tuple[Edge, ...] | None = None
 
     @property
     def forest_count(self) -> int:
@@ -48,7 +43,6 @@ def _finalize(
     named_forests: list[tuple[str, RawForest]],
     family: str,
     labels: LabelScheme | None = None,
-    leftover_matching: tuple[Edge, ...] | None = None,
     expect_exact: bool = False,
 ) -> ConstructionOutput:
     claimed: set[Edge] = set()
@@ -91,7 +85,6 @@ def _finalize(
         raw_duplicates=raw_duplicates,
         provenance=tuple(name for name, _ in named_forests),
         raw_edge_slots=tuple(slots),
-        leftover_matching=leftover_matching,
     )
 
 
@@ -114,15 +107,14 @@ def _double_star_forests(t: int) -> list[tuple[str, RawForest]]:
 def broken_double_star(t: int) -> ConstructionOutput:
     """The (t+1)-forest decomposition of K_{2t}: t spanning two-star forests
     covering everything except the antipodal perfect matching, plus that
-    matching folded into one t-star forest.  The uncovered matching is also
-    reported separately on ``leftover_matching``."""
+    matching folded into one t-star forest, also listed as
+    ``meta["matching"] == "0-t 1-(t+1) ..."``."""
     if t < 2:
         raise PreconditionError("broken double star needs t >= 2")
-    n = 2 * t
     named = _double_star_forests(t)
-    matching = tuple(make_edge(i, i + t) for i in range(t))
     named.append(("matching", [(i, [i + t]) for i in range(t)]))
-    return _finalize(n, t, named, family="bds", leftover_matching=matching, expect_exact=True)
+    out = _finalize(2 * t, t, named, family="bds", expect_exact=True)
+    return replace(out, meta={"matching": " ".join(f"{i}-{i + t}" for i in range(t))})
 
 
 def conjecture_construction(n: int, k: int) -> ConstructionOutput:
@@ -374,7 +366,7 @@ def k4_construction(m: int) -> ConstructionOutput:
 # ---------------------------------------------------------------------------
 
 
-def blowup(base: ConstructionOutput | DecompositionFile, t: int) -> ConstructionOutput:
+def blowup(base: DecompositionFile, t: int) -> ConstructionOutput:
     """Lift a decomposition of K_n to one of K_{tn} with t times as many forests.
 
     Vertex a of the base becomes the cluster {a*t+b : 0 <= b < t}.  Copy b of
@@ -382,7 +374,8 @@ def blowup(base: ConstructionOutput | DecompositionFile, t: int) -> Construction
     cluster, and each center additionally adopts its own other copies.  The
     within-cluster edges are the only ones placed more than once; dedup keeps
     the first copy in (j, b) order.  Unnamed base forests are called f{j} and
-    a base without a family is called "decomposition".
+    a base without a family is called "decomposition"; the base's
+    ``raw_duplicates`` and ``meta`` are not carried over.
 
     Requires a valid base using at most n-2 forests, which guarantees every
     base vertex is a center somewhere, so every cluster's inside edges get

@@ -16,8 +16,9 @@ The format is line oriented and human auditable::
 
 Parsing is strict: unknown directives, a repeated header line or meta key,
 out-of-range vertices, repeated leaves or a center listed among its own leaves
-are rejected with the offending line number.  ``parse(serialize(x)) == x``
-including forest order, leaf order, forest names and metadata.
+are rejected with the offending line number.  ``parse(serialize(f)) == f``
+for a ``DecompositionFile`` f, including forest and leaf order, forest names
+and metadata.
 """
 
 from __future__ import annotations
@@ -46,34 +47,31 @@ class ParseError(DecompositionError):
 
 @dataclass(frozen=True)
 class DecompositionFile:
+    """A decomposition with its header; empty ``provenance`` = unnamed forests."""
+
     decomposition: Decomposition
     family: str | None = None
-    provenance: tuple[str | None, ...] = ()
-    raw_duplicates: tuple[Edge, ...] = ()
-    meta: dict[str, str] = field(default_factory=dict)
+    provenance: tuple[str | None, ...] = ()  # forest index -> forest name
+    raw_duplicates: tuple[Edge, ...] = ()  # edges the builder's raw tables placed twice
+    meta: dict[str, str] = field(default_factory=dict, hash=False)  # a dict is unhashable
 
 
-def serialize(
-    d: Decomposition,
-    family: str | None = None,
-    provenance: tuple[str | None, ...] | None = None,
-    raw_duplicates: tuple[Edge, ...] = (),
-    meta: dict[str, str] | None = None,
-) -> str:
-    if provenance is not None and len(provenance) != len(d.forests):
+def serialize(f: DecompositionFile) -> str:
+    d, provenance = f.decomposition, f.provenance
+    if provenance and len(provenance) != len(d.forests):
         raise DecompositionError("provenance length must match the forest count")
     lines = [_HEADER, f"n {d.n}", f"k {d.k}"]
     if d.labels is not None:
         suffix = "" if d.labels.param is None else f" {d.labels.param}"
         lines.append(f"labels {d.labels.name}{suffix}")
-    if family is not None:
-        lines.append(f"family {family}")
-    for key in sorted(meta or {}):
-        lines.append(f"meta {key} {(meta or {})[key]}")
-    if raw_duplicates:
-        lines.append("duplicates " + " ".join(f"{u}-{v}" for u, v in raw_duplicates))
+    if f.family is not None:
+        lines.append(f"family {f.family}")
+    for key in sorted(f.meta):
+        lines.append(f"meta {key} {f.meta[key]}")
+    if f.raw_duplicates:
+        lines.append("duplicates " + " ".join(f"{u}-{v}" for u, v in f.raw_duplicates))
     for fi, forest in enumerate(d.forests):
-        name = provenance[fi] if provenance is not None else None
+        name = provenance[fi] if provenance else None
         lines.append(f"forest {name}" if name else "forest")
         for star in forest.stars:
             lines.append(f"star {star.center} : " + " ".join(str(v) for v in star.leaves))

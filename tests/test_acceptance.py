@@ -277,14 +277,7 @@ def test_criterion_11_roundtrip_and_determinism(capsys, monkeypatch):
             text = path.read_text()
             f = parse(text)
             assert validate_decomposition(f.decomposition).ok
-            again = serialize(
-                f.decomposition,
-                family=f.family,
-                provenance=f.provenance,
-                raw_duplicates=f.raw_duplicates,
-                meta=f.meta,
-            )
-            assert again == text, path.name
+            assert serialize(f) == text, path.name
         # repeated invocations produce identical bytes
         outputs = []
         for _ in range(2):

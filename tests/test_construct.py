@@ -42,7 +42,8 @@ def test_bds_t2_hand_expansion():
     pair_edges = [sorted(forest_edges(f)) for f in out.decomposition.forests[:2]]
     assert pair_edges == [[(0, 1), (2, 3)], [(1, 2), (0, 3)]] or pair_edges == [
         sorted([(0, 1), (2, 3)]), sorted([(1, 2), (0, 3)])]
-    assert out.leftover_matching == ((0, 2), (1, 3))
+    assert out.meta == {"matching": "0-2 1-3"}
+    assert sorted(forest_edges(out.decomposition.forests[-1])) == [(0, 2), (1, 3)]
     assert out.raw_duplicates == ()
 
 
@@ -52,7 +53,7 @@ def test_bds_t3_covers_all_but_matching():
     for f in out.decomposition.forests[:3]:
         pair_part.update(forest_edges(f))
     assert len(pair_part) == 12
-    assert pair_part.isdisjoint(set(out.leftover_matching))
+    assert pair_part.isdisjoint(forest_edges(out.decomposition.forests[-1]))
     assert validate_decomposition(out.decomposition).ok
 
 
@@ -240,14 +241,14 @@ def test_blowup_composes():
 
 def test_blowup_of_parsed_file_matches_construction_output():
     base = k27()
-    parsed = parse(serialize(base.decomposition, family=base.family, provenance=base.provenance))
+    parsed = parse(serialize(base))
     assert blowup(parsed, 2) == blowup(base, 2)
 
 
 def test_blowup_validates_only_a_base_not_yet_validated(monkeypatch):
     # _finalize validates k27 and each blowup; blowup's precondition adds a
     # validation for a parsed base only, not for a ConstructionOutput
-    parsed = parse(serialize(k27().decomposition))
+    parsed = parse(serialize(k27()))
     calls = []
     monkeypatch.setattr(construct, "validate_decomposition", lambda d: calls.append(d.n) or validate_decomposition(d))
     f3_construction(54)

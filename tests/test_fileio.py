@@ -4,11 +4,14 @@ import pytest
 
 from starforest import (
     Decomposition,
+    DecompositionFile,
     ParseError,
     broken_double_star,
     export_dot,
     export_dot_per_forest,
+    f2_construction,
     f_exact,
+    k4_construction,
     k16,
     k27,
     parse,
@@ -20,21 +23,14 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def roundtrip(out):
-    text = serialize(
-        out.decomposition,
-        family=out.family,
-        provenance=out.provenance,
-        raw_duplicates=out.raw_duplicates,
-    )
+    text = serialize(out)
     f = parse(text)
     assert f.decomposition == out.decomposition
     assert f.family == out.family
     assert f.provenance == out.provenance
     assert f.raw_duplicates == out.raw_duplicates
-    again = serialize(
-        f.decomposition, family=f.family, provenance=f.provenance, raw_duplicates=f.raw_duplicates
-    )
-    assert again == text
+    assert f.meta == out.meta
+    assert serialize(f) == text
 
 
 def test_roundtrip_constructions():
@@ -45,7 +41,7 @@ def test_roundtrip_constructions():
 
 def test_roundtrip_search_certificate():
     cert = f_exact(5, 2).certificate
-    f = parse(serialize(cert))
+    f = parse(serialize(DecompositionFile(cert)))
     assert f.decomposition == cert
 
 
@@ -133,14 +129,28 @@ def test_golden_files_reverify():
         text = path.read_text()
         f = parse(text)
         assert validate_decomposition(f.decomposition).ok, path.name
-        again = serialize(
-            f.decomposition,
-            family=f.family,
-            provenance=f.provenance,
-            raw_duplicates=f.raw_duplicates,
-            meta=f.meta,
-        )
-        assert again == text, f"{path.name} does not round-trip byte-for-byte"
+        assert serialize(f) == text, f"{path.name} does not round-trip byte-for-byte"
+        assert parse(serialize(f)) == f, path.name
+
+
+# the library's bytes are the bytes `construct` prints (tests/test_cli.py
+# checks the CLI side against the same files)
+@pytest.mark.parametrize("golden, build", [
+    ("bds_t4.sfd", lambda: broken_double_star(4)),
+    ("f2_n8.sfd", lambda: f2_construction(8)),
+    ("k16.sfd", k16),
+    ("k27.sfd", k27),
+    ("k4gen_m2.sfd", lambda: k4_construction(2)),
+], ids=["bds", "f2", "k16", "k27", "k4gen"])
+def test_serialize_builder_matches_golden(golden, build):
+    assert serialize(build()) == (GOLDEN / golden).read_text()
+
+
+def test_builder_outputs_and_parsed_files_hash():
+    assert hash(k27()) == hash(k27())
+    f = parse((GOLDEN / "bds_t4.sfd").read_text())
+    assert f.meta  # a meta line, which is a dict, does not make the record unhashable
+    assert hash(f) == hash(parse(serialize(f)))
 
 
 def test_golden_k16_has_ten_forests():
@@ -171,4 +181,4 @@ def test_export_dot_per_forest_k27():
 def test_serialize_rejects_mismatched_provenance():
     d = Decomposition(n=3, k=1, forests=())
     with pytest.raises(Exception):
-        serialize(d, provenance=("too", "many"))
+        serialize(DecompositionFile(d, provenance=("too", "many")))

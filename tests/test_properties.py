@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from starforest import (
     Decomposition,
+    DecompositionFile,
     NotApplicableError,
     Star,
     StarForest,
@@ -148,4 +149,4 @@ def test_serialize_parse_roundtrip_on_permuted_corpus(seed):
     perm = list(range(d.n))
     seed.shuffle(perm)
     shuffled = permute(d, perm)
-    assert parse(serialize(shuffled)).decomposition == shuffled
+    assert parse(serialize(DecompositionFile(shuffled))).decomposition == shuffled

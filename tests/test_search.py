@@ -15,7 +15,7 @@ from starforest import (
     f_exact,
     validate_decomposition,
 )
-from starforest.fileio import serialize
+from starforest.fileio import DecompositionFile, serialize
 
 
 def test_k3_single_star_forests():
@@ -288,8 +288,9 @@ def test_search_matches_brute_force_oracle(n, k, m):
         assert _certificate_assignment(res.certificate) == lexmin
 
 
-# sha256 of serialize(f_exact(n, k).certificate, family="search"), recorded
-# before the column rule was added to the search
+# sha256 of serialize(DecompositionFile(f_exact(n, k).certificate,
+# family="search")), the bytes `search --cert` writes, recorded before the
+# column rule was added to the search
 _PINNED_CERTIFICATES = {
     (6, 2): "7e205ca34290ea78fccbb69812a5305e34ac983685353126c8f6982a5a157a34",
     (6, 3): "be071fe4d68b65357e69bd484b3ed443de4b45e4d84c169b7460d450d6cc0266",
@@ -300,7 +301,7 @@ _PINNED_CERTIFICATES = {
 
 @pytest.mark.parametrize("n,k", sorted(_PINNED_CERTIFICATES))
 def test_pinned_certificates(n, k):
-    text = serialize(f_exact(n, k).certificate, family="search")
+    text = serialize(DecompositionFile(f_exact(n, k).certificate, family="search"))
     assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_CERTIFICATES[(n, k)]
 
 
@@ -310,7 +311,7 @@ def _sweep_digest():
         for k in range(1, n + 1):
             for m in range(1, n + 1):
                 res = exists_decomposition(n, k, m, SearchBudget(max_nodes=200_000))
-                cert = "" if res.certificate is None else serialize(res.certificate, family="search")
+                cert = "" if res.certificate is None else serialize(DecompositionFile(res.certificate, family="search"))
                 h.update(f"{n} {k} {m} {res.status.value} {res.nodes_explored}\n{cert}".encode())
     return h.hexdigest()
 
