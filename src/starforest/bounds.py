@@ -3,7 +3,8 @@
 Lower bounds are only quoted inside their proven ranges; outside them the
 helpers return None rather than a guess, so aggregation never silently weakens
 or overstates a bound.  Upper bounds quoted by ``bound_report`` always come
-from a construction that was actually built and validated (or from the
+from a construction that was actually built and validated, tagged
+``construction:<family>`` after its row of ``construct.FAMILIES`` (or from the
 exhaustive search when enabled), never from a bare formula.
 """
 
@@ -12,7 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import PreconditionError
+# bound_report looks each builder up by name in this module's globals, so a
+# builder patched here (as the benchmark's tracer does) is the one that runs
 from .construct import (
+    FAMILIES,
     conjecture_construction,
     f2_construction,
     f3_construction,
@@ -109,22 +113,6 @@ class BoundReport:
     conjecture_refuted_here: bool
 
 
-def _upper_candidates(n: int, k: int) -> list[tuple[int, str]]:
-    """Sizes of the constructions that apply, in priority order: min() keeps
-    the first of equal sizes.  Outputs validate on build; each quotes its
-    realized size."""
-    ups: list[tuple[int, str]] = []
-    if k >= 4 and n >= 16 and n % 12 == 4:
-        ups.append((k4_construction((n - 4) // 12).forest_count, "construction:k4gen"))
-    if k >= 3 and n >= 27 and n % 27 == 0:
-        ups.append((f3_construction(n).forest_count, "construction:f3"))
-    if k >= 2 and n % 2 == 0 and n >= 4:
-        ups.append((f2_construction(n).forest_count, "construction:f2"))
-        if k > 2 and n >= 2 * k:
-            ups.append((conjecture_construction(n, k).forest_count, "construction:conjecture"))
-    return ups
-
-
 def bound_report(n: int, k: int, use_search: bool = False, budget=None) -> BoundReport:
     """Aggregate the proven bounds for (n, k) and compare with the conjecture.
 
@@ -134,7 +122,8 @@ def bound_report(n: int, k: int, use_search: bool = False, budget=None) -> Bound
     if n < 1 or k < 1 or n < k:
         raise PreconditionError("needs n >= k >= 1")
     lower, lower_source = safe_lower_bound(n, k)
-    ups = _upper_candidates(n, k)
+    ups = [(globals()[fam.builder](*args).forest_count, f"construction:{name}")  # validated on build
+           for name, fam in FAMILIES.items() if fam.upper and (args := fam.upper(n, k))]
 
     if use_search:
         from .search import SearchStatus, f_exact  # deferred: search depends on this module

@@ -16,7 +16,10 @@ from itertools import islice
 from pathlib import Path
 
 from .bounds import bound_report
+# cmd_construct looks each builder up by name in this module's globals, so a
+# builder patched here (as the benchmark's tracer does) is the one that runs
 from .construct import (
+    FAMILIES,
     blowup,
     broken_double_star,
     conjecture_construction,
@@ -75,14 +78,8 @@ def _emit(text: str, out: str | None) -> None:
         _write_atomic(out, text)
 
 
-def _read_input(path: str | None) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
-
-
 def _load(path: str | None) -> DecompositionFile:
-    return parse(_read_input(path))
+    return parse(sys.stdin.read() if path is None or path == "-" else Path(path).read_text(encoding="utf-8"))
 
 
 def _budget(args) -> SearchBudget:
@@ -94,27 +91,13 @@ def _budget(args) -> SearchBudget:
 # ---------------------------------------------------------------------------
 
 
-# --family name -> (flags it requires, builder call).  The lambdas look each
-# builder up in this module's globals when called, so a builder patched on this
-# module (as the benchmark's tracer does) is the one that runs.
-_FAMILIES = {
-    "bds": (("t",), lambda a: broken_double_star(a.t)),
-    "f2": (("n",), lambda a: f2_construction(a.n)),
-    "conjecture": (("n", "k"), lambda a: conjecture_construction(a.n, a.k)),
-    "k27": ((), lambda a: k27()),
-    "f3": (("n",), lambda a: f3_construction(a.n)),
-    "k16": ((), lambda a: k16()),
-    "k4gen": (("m",), lambda a: k4_construction(a.m)),
-    "blowup": (("t",), lambda a: blowup(_load(a.infile), a.t)),
-}
-
-
 def cmd_construct(args) -> int:
-    flags, build = _FAMILIES[args.family]
-    for flag in flags:
-        if getattr(args, flag) is None:
+    fam = FAMILIES[args.family]
+    for flag in fam.flags:
+        if flag != "in" and getattr(args, flag) is None:
             raise DecompositionError(f"--{flag} is required for the {args.family} family")
-    _emit(serialize(build(args)), args.out)
+    argv = [_load(args.infile) if flag == "in" else getattr(args, flag) for flag in fam.flags]
+    _emit(serialize(globals()[fam.builder](*argv)), args.out)
     return EXIT_OK
 
 
@@ -229,7 +212,7 @@ def cmd_analyze(args) -> int:
         return EXIT_OK
     print(f"valid: {'yes' if report.ok else 'no'}")
     for fi, e in enumerate(rh.hyperedges):
-        label = (f.provenance[fi] if fi < len(f.provenance) else None) or f"forest {fi}"
+        label = (f.provenance[fi] if f.provenance else None) or f"forest {fi}"
         members = ", ".join(d.labels.label(v) if d.labels else str(v) for v in sorted(e))
         print(f"hyperedge {fi} [{label}]: {{{members}}}")
     pstr = " ".join(f"{j}->{c}" for j, c in prof.p.items())
@@ -332,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="emit a decomposition from a named family")
-    p.add_argument("--family", required=True, choices=list(_FAMILIES))
+    p.add_argument("--family", required=True, choices=list(FAMILIES))
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--m", type=int)

@@ -1,5 +1,7 @@
 """Deterministic generators for every decomposition family, with duplicate
-accounting for the families whose raw edge lists double-cover some edges.
+accounting for the families whose raw edge lists double-cover some edges, and
+``FAMILIES``, the one table of them that ``construct --family`` and
+``bound_report`` both read.
 
 Each builder assembles raw (center, leaves) tables per forest, then runs the
 shared dedup pass: forests are processed in their canonical emission order and
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import islice
+from typing import Callable, NamedTuple
 
 from .core import (
     Decomposition,
@@ -409,3 +412,26 @@ def f3_construction(n: int) -> ConstructionOutput:
     if n < 27 or n % 27 != 0:
         raise PreconditionError("needs a positive multiple of 27")
     return replace(blowup(k27(), n // 27), family="f3")
+
+
+class Family(NamedTuple):
+    flags: tuple[str, ...]  # the builder's arguments in order; "in" is the base file
+    builder: str  # callers look it up by name, so a builder patched on their module runs
+    # for bound_report: (n, k) -> the builder's args for a k-star-forest decomposition of K_n, or None
+    upper: Callable[[int, int], tuple[int, ...] | None] | None = None
+
+
+# bound_report's priority order: min() keeps the first of equal sizes, and
+# conjecture ties f2, f3 and k4gen wherever both apply
+FAMILIES: dict[str, Family] = {
+    "bds": Family(("t",), "broken_double_star"),
+    "f2": Family(("n",), "f2_construction", lambda n, k: (n,) if k >= 2 and n % 2 == 0 and n >= 4 else None),
+    "k27": Family((), "k27"),
+    "f3": Family(("n",), "f3_construction", lambda n, k: (n,) if k >= 3 and n >= 27 and n % 27 == 0 else None),
+    "k16": Family((), "k16"),
+    "k4gen": Family(("m",), "k4_construction",
+                    lambda n, k: ((n - 4) // 12,) if k >= 4 and n >= 16 and n % 12 == 4 else None),
+    "conjecture": Family(("n", "k"), "conjecture_construction",
+                         lambda n, k: (n, k) if k > 2 and n >= 2 * k and n % 2 == 0 else None),
+    "blowup": Family(("in", "t"), "blowup"),
+}

@@ -55,11 +55,13 @@ class DecompositionFile:
     raw_duplicates: tuple[Edge, ...] = ()  # edges the builder's raw tables placed twice
     meta: dict[str, str] = field(default_factory=dict, hash=False)  # a dict is unhashable
 
+    def __post_init__(self) -> None:
+        if self.provenance and len(self.provenance) != self.decomposition.forest_count:
+            raise DecompositionError("provenance length must match the forest count")
+
 
 def serialize(f: DecompositionFile) -> str:
     d, provenance = f.decomposition, f.provenance
-    if provenance and len(provenance) != len(d.forests):
-        raise DecompositionError("provenance length must match the forest count")
     lines = [_HEADER, f"n {d.n}", f"k {d.k}"]
     if d.labels is not None:
         suffix = "" if d.labels.param is None else f" {d.labels.param}"

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starforest import PreconditionError, check_degree1_placement, cli, is_broken_double_star, verify
-from starforest.cli import _FAMILIES, main
+from starforest.cli import main
+from starforest.construct import FAMILIES
 from starforest.fileio import ParseError, parse
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -399,8 +400,9 @@ def test_invalid_family_exit_2(capsys):
     assert exc.value.code == 2
 
 
-REQUIRED_FLAGS = {"bds": ("t",), "f2": ("n",), "conjecture": ("n", "k"), "f3": ("n",),
-                  "k4gen": ("m",), "blowup": ("t",)}
+# blowup reads its base from stdin without --in, so "in" is never required
+REQUIRED_FLAGS = {name: flags for name, fam in FAMILIES.items()
+                  if (flags := tuple(f for f in fam.flags if f != "in"))}
 
 
 # every required flag of every family, omitted while the others are given
@@ -419,9 +421,9 @@ def test_readme_lists_every_family():
     text = README.read_text()
     para = text[text.index("Families:"):].split("\n\n", 1)[0]
     entries = re.findall(r"`([^`]+)`", para)
-    assert [e.split()[0] for e in entries] == list(_FAMILIES)
-    for entry, (flags, _) in zip(entries, _FAMILIES.values()):
-        assert set(re.findall(r"--(\w+)", entry)) >= set(flags)
+    assert [e.split()[0] for e in entries] == list(FAMILIES)
+    for entry, fam in zip(entries, FAMILIES.values()):
+        assert set(re.findall(r"--(\w+)", entry)) >= set(fam.flags)
 
 
 # stderr and exit code of `verify --in` on one malformed star; the Star cases

@@ -1,3 +1,4 @@
+import itertools
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -5,9 +6,13 @@ from pathlib import Path
 import pytest
 
 from starforest import (
+    DecompositionError,
+    DecompositionFile,
     PreconditionError,
     blowup,
+    bounds,
     broken_double_star,
+    cli,
     conjecture_construction,
     construct,
     degree_profile,
@@ -256,6 +261,33 @@ def test_blowup_validates_only_a_base_not_yet_validated(monkeypatch):
     calls.clear()
     blowup(parsed, 2)
     assert calls == [27, 54]
+
+
+@pytest.mark.parametrize("names", [("a",), tuple("abcdefghi")])  # 1 and 9 names for 5 forests
+def test_blowup_rejects_misaligned_provenance(names):
+    with pytest.raises(DecompositionError, match="provenance length"):
+        blowup(DecompositionFile(broken_double_star(4).decomposition, provenance=names), 2)
+
+
+def test_family_table_upper_args_build_a_fitting_decomposition():
+    # every (n, k) a family claims for bound_report builds K_n with at most k stars per forest
+    built: dict[tuple, tuple[int, int]] = {}
+    for name, fam in construct.FAMILIES.items():
+        for n, k in itertools.product(range(1, 61), range(1, 9)):
+            if fam.upper and (args := fam.upper(n, k)):
+                if (name, args) not in built:
+                    d = getattr(construct, fam.builder)(*args).decomposition
+                    built[name, args] = (d.n, d.k)
+                assert built[name, args][0] == n and built[name, args][1] <= k, (name, n, k)
+    assert {name for name, _ in built} == {"f2", "f3", "k4gen", "conjecture"}
+
+
+def test_family_builders_are_patch_points():
+    # cli and bounds call builders by name from their own globals
+    for fam in construct.FAMILIES.values():
+        assert hasattr(cli, fam.builder)
+        if fam.upper is not None:
+            assert hasattr(bounds, fam.builder)
 
 
 def test_f3_construction_counts():
