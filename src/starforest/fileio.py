@@ -106,6 +106,7 @@ def parse(text: str) -> DecompositionFile:
     forests: list[list[Star]] = []
     names: list[str | None] = []
     seen: set[str] = set()
+    dup_lineno = 0
 
     for lineno, rawline in enumerate(lines[1:], start=2):
         line = rawline.strip()
@@ -144,6 +145,7 @@ def parse(text: str) -> DecompositionFile:
                 raise ParseError(f"line {lineno}: meta key {tokens[1]} given twice")
             meta[tokens[1]] = line.split(None, 2)[2]
         elif directive == "duplicates":
+            dup_lineno = lineno
             for token in tokens[1:]:
                 parts = token.split("-")
                 if len(parts) != 2:
@@ -179,6 +181,9 @@ def parse(text: str) -> DecompositionFile:
         raise ParseError("missing 'n' line")
     if k is None:
         raise ParseError("missing 'k' line")
+    for _, v in duplicates:  # checked here because the line may come before n
+        if v >= n:
+            raise ParseError(f"line {dup_lineno}: vertex {v} out of range for n={n}")
     expected = labels.expected_n() if labels is not None else None
     if expected is not None and expected != n:
         raise ParseError(f"labels scheme describes n={expected} but file has n={n}")

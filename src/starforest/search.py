@@ -16,11 +16,23 @@ leaf.  Undo writes -1 back to q, p's old value to p and, after a promotion,
 
 * both endpoints already in the forest -> never legal (cycle or non-star path),
 * per-forest component bound k,
-* edge-count slack: forest f holds at most n - max(comps[f], 1) edges and no
-  comps[f] falls along a branch, so K_n's |E| edges fit only while
-  slack = m*n - |E| - sum_f max(comps[f], 1) >= 0.  It starts at
-  m(n-1) - |E| and drops by one only when a new star lands in a forest that
-  is already in use; attaching a leaf or promoting one leaves it alone,
+* edge-count slack: a forest with c stars on the vertex set V_f holds
+  |V_f| - c edges.  A vertex v that still needs r_v edges and is absent from
+  a_v forests can join at most r_v of them, so at least
+  extra[v] = a_v - r_v forests never hold it.  extra[v] starts at
+  m - (n-1) and rises by one whenever an edge lands in a forest where v
+  already is (attached to center v, or v promoted from leaf).  Neither
+  extra[v] nor comps[f] falls along a branch, so if every forest ends in use,
+  K_n's |E| edges fit only while
+  slack = m*n - |E| - sum_f max(comps[f], 1) - sum_v max(extra[v], 0) >= 0.
+  It drops by one when a new star lands in a forest already in use, or when
+  an edge lands at a present p whose extra[p] becomes positive; a new star
+  that opens a forest leaves it alone.  A forest still unused may end empty:
+  it holds no edge though every vertex is absent from it, so the charge can
+  exceed the truth by one per such forest, and by at most min_v extra[v] in
+  all.  The test, made before each recursive call, is therefore
+  slack + min(m - used, min_v extra[v]) >= 0, whose min is read only while
+  slack < 0 and some forest is unused,
 * forest symmetry: index f is tried only if some forest < f is already used
   or f is the first unused one, so the very first edge is pinned to forest 0,
 * vertex symmetry (column rule): for an edge (i, v) with v >= i + 2, if
@@ -101,15 +113,15 @@ def exists_decomposition(n: int, k: int, m: int, budget: SearchBudget | None = N
     tie = [0] * n  # leading rows on which columns v-1 and v agree
     end = len(edges)
     used = 0  # forests with a star; forest symmetry keeps them a prefix
-    slack = m * (n - 1) - end  # edge-count slack, see above
+    extra = [m - (n - 1)] * n  # per vertex: forests it is absent from minus edges it still needs
+    slack = m * (n - 1) - end - n * max(m - (n - 1), 0)  # edge-count slack, see above
     nodes = 0
+    check = min(4096, max_nodes + 1)  # the next node count that reads the budget or the clock
 
     def solve(idx: int) -> bool:
-        nonlocal used, slack, nodes
+        nonlocal used, slack, nodes, check
         if idx == end:
             return True
-        if slack < 0:
-            return False
         u, v = edges[idx]
         limit = used + 1 if used < m else m
         # column rule: while columns v-1 and v agree on rows < u, the edge
@@ -119,47 +131,60 @@ def exists_decomposition(n: int, k: int, m: int, budget: SearchBudget | None = N
         for f in range(lo, limit):
             s = star[f]
             # p is the endpoint already present (u if neither is), q the absent one
-            sp = s[u]
-            if sp == -1 != s[v]:
-                p, q, sp = v, u, s[v]
-            else:
-                p, q = u, v
-            if s[q] != -1:
+            p, q, sp = u, v, s[u]
+            if sp == -1:
+                if s[v] != -1:
+                    p, q, sp = v, u, s[v]
+            elif s[v] != -1:
                 continue  # both present
-            if sp >= 0:  # p is a leaf of sp: promote it if its star is flexible
-                if s[sp] != -2:
+            if sp == -1:  # p is absent: a new star centered at p
+                if comps[f] >= k:
                     continue
-                s[sp], s[p] = p, -3
-            else:  # p is a center (attach q) or absent (new star centered at p)
-                if sp == -1:
-                    if comps[f] >= k:
+                comps[f] += 1
+                if comps[f] == 1:
+                    used += 1
+                else:
+                    slack -= 1
+                s[p] = -2
+            else:  # p is present, so this edge spends one of its edges where it already is
+                if sp >= 0:  # p is a leaf of sp: promote it if its star is flexible
+                    if s[sp] != -2:
                         continue
-                    comps[f] += 1
-                    if comps[f] == 1:
-                        used += 1
-                    else:
-                        slack -= 1
-                s[p] = sp - 1
+                    s[sp], s[p] = p, -3
+                else:  # p is a center: attach q
+                    s[p] = sp - 1
+                e = extra[p] + 1
+                extra[p] = e
+                if e > 0:
+                    slack -= 1
             s[q] = p
-            if nodes == max_nodes:
-                raise _BudgetStop
             nodes += 1
-            if nodes % 4096 == 0 and monotonic() > deadline:
-                raise _BudgetStop
+            if nodes == check:
+                if nodes > max_nodes:
+                    nodes = max_nodes
+                    raise _BudgetStop
+                if monotonic() > deadline:
+                    raise _BudgetStop
+                check = min(nodes + 4096, max_nodes + 1)
             assign[idx] = f
             if tied:
                 tie[v] = u + 1 if f == lo else u
-            if solve(idx + 1):
+            # the child's slack test, made here to spare a call (see above)
+            if (slack >= 0 or used < m and slack + min(m - used, *extra) >= 0) and solve(idx + 1):
                 return True
             s[q], s[p] = -1, sp
-            if sp >= 0:
-                s[sp] = -2
-            elif sp == -1:
+            if sp == -1:
                 comps[f] -= 1
                 if comps[f] == 0:
                     used -= 1
                 else:
                     slack += 1
+            else:
+                if sp >= 0:
+                    s[sp] = -2
+                if e > 0:
+                    slack += 1
+                extra[p] = e - 1
         if tied:
             tie[v] = u
         return False

@@ -389,9 +389,15 @@ def _matches_with_matching_forest(d: Decomposition, t: int, mi: int, mf: StarFor
     if used_pairs != pairs or len(leaf_sets) != 2 * t:
         return False
 
-    # successor walk: the next vertex u satisfies L(u) = (L(v) - {u}) + {partner(v)}
+    # successor walk: the next vertex is the u in L(v) with
+    # L(u) = (L(v) - {u}) + {partner(v)}.  As u is not in L(u) and partner(v)
+    # is not in L(v), that reads L(u) + {u} = L(v) + {partner(v)}: one lookup
+    by_closed: dict[frozenset[int], list[int]] = {}
+    for u, leaves in leaf_sets.items():
+        by_closed.setdefault(leaves | {u}, []).append(u)
+
     def successor(v: int) -> int | None:
-        hits = [u for u in leaf_sets[v] if leaf_sets[u] == (leaf_sets[v] - {u}) | {partner[v]}]
+        hits = [u for u in by_closed.get(leaf_sets[v] | {partner[v]}, ()) if u in leaf_sets[v]]
         return hits[0] if len(hits) == 1 else None
 
     start = 0

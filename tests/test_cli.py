@@ -227,9 +227,9 @@ def test_search_timeout_stops_at_the_first_deadline_check(capsys):
 
 
 def test_search_settles_n_minus_1_when_the_budget_ends_there(capsys):
-    # the 5992 nodes exhaust m=5; F_1(7) = 6 then needs no search
-    assert run(capsys, ["search", "--n", "7", "--k", "1", "--max-nodes", "5992"]) == (
-        0, "F_1(7) = 6 (nodes=5992)\n", "")
+    # the 5958 nodes exhaust m=5; F_1(7) = 6 then needs no search
+    assert run(capsys, ["search", "--n", "7", "--k", "1", "--max-nodes", "5958"]) == (
+        0, "F_1(7) = 6 (nodes=5958)\n", "")
 
 
 def test_search_writes_certificate(capsys, tmp_path):

@@ -124,6 +124,16 @@ def test_parse_rejects_bad_duplicate_edge():
         parse("decomposition v1\nn 4\nk 2\nduplicates 3-1\n")
 
 
+@pytest.mark.parametrize("body, problem", [
+    ("n 4\nk 2\nduplicates 0-1 0-99\n", "line 4: vertex 99 out of range for n=4"),
+    ("duplicates 0-4\nn 4\nk 2\n", "line 2: vertex 4 out of range for n=4"),
+], ids=["after-n", "before-n"])
+def test_parse_rejects_out_of_range_duplicate_edge(body, problem):
+    with pytest.raises(ParseError) as exc:
+        parse("decomposition v1\n" + body)
+    assert str(exc.value) == problem
+
+
 def test_golden_files_reverify():
     for path in sorted(GOLDEN.glob("*.sfd")):
         text = path.read_text()

@@ -11,8 +11,13 @@ from starforest import (
     SearchStatus,
     Star,
     StarForest,
+    broken_double_star,
     exists_decomposition,
+    f2_construction,
     f_exact,
+    k4_construction,
+    k16,
+    k27,
     validate_decomposition,
 )
 from starforest.fileio import DecompositionFile, serialize
@@ -58,14 +63,15 @@ def test_f_exact_brute_force_exhaustions_below_optimum():
 
 def test_column_rule_prunes_relabelled_columns():
     # exact node counts of the benchmark's eight instances, measured when the
-    # vertex-symmetry column rule landed; without it (7, 2, 4) and (7, 3, 4)
-    # visit 210872 and 235321 nodes.  Any change to the pruning moves them.
-    exhaustions = {(6, 2, 4): 6089, (7, 2, 4): 15_188, (7, 3, 4): 17_194,
-                   (7, 4, 4): 17_194, (8, 2, 4): 2065}
+    # absence term joined the slack prune; before it and the vertex-symmetry
+    # column rule, (7, 2, 4) and (7, 3, 4) visited 210872 and 235321 nodes.
+    # Any change to the pruning moves them.
+    exhaustions = {(6, 2, 4): 5945, (7, 2, 4): 7049, (7, 3, 4): 7710,
+                   (7, 4, 4): 7710, (8, 2, 4): 290}
     for (n, k, m), nodes in exhaustions.items():
         res = exists_decomposition(n, k, m)
         assert (res.status, res.nodes_explored) == (SearchStatus.EXHAUSTED_NOT_FOUND, nodes)
-    for (n, k), nodes in {(6, 2): 15, (7, 3): 1125, (7, 7): 1125}.items():
+    for (n, k), nodes in {(6, 2): 15, (7, 3): 1088, (7, 7): 1088}.items():
         res = f_exact(n, k)
         assert (res.value, res.nodes_explored) == (5, nodes)
 
@@ -109,7 +115,7 @@ def test_f_exact_n7_two_star_slow():
     res = f_exact(7, 2)
     assert res.value == 6  # matches ceil(3*7/4)
     assert res.attempts == ((5, SearchStatus.EXHAUSTED_NOT_FOUND), (6, SearchStatus.FOUND))
-    assert res.nodes_explored == 2_597_193
+    assert res.nodes_explored == 2_584_590
 
 
 def test_certificates_respect_budgets():
@@ -126,10 +132,10 @@ def test_budget_exceeded_signalling():
 
 
 def test_budget_of_exactly_the_nodes_needed_finds():
-    # (7, 3, 5) is found on its 1125th node
-    assert exists_decomposition(7, 3, 5, SearchBudget(max_nodes=1125)).status is SearchStatus.FOUND
-    res = exists_decomposition(7, 3, 5, SearchBudget(max_nodes=1124))
-    assert (res.status, res.nodes_explored) == (SearchStatus.BUDGET_EXCEEDED, 1124)
+    # (7, 3, 5) is found on its 1088th node
+    assert exists_decomposition(7, 3, 5, SearchBudget(max_nodes=1088)).status is SearchStatus.FOUND
+    res = exists_decomposition(7, 3, 5, SearchBudget(max_nodes=1087))
+    assert (res.status, res.nodes_explored) == (SearchStatus.BUDGET_EXCEEDED, 1087)
 
 
 def test_wall_time_stops_at_the_first_deadline_check():
@@ -152,18 +158,18 @@ def staircase(n: int, k: int) -> Decomposition:
 
 
 def test_f_exact_budget_runs_out_inside_and_after_an_exhaustion():
-    # F_1(7) = 6 from the lower bound 5.  Exhausting m=5 visits 5992 nodes, and
-    # a search visits at most max_nodes nodes: one short of 5992 stops inside
-    # the exhaustion, and exactly 5992 completes it with nothing left for m=6,
+    # F_1(7) = 6 from the lower bound 5.  Exhausting m=5 visits 5958 nodes, and
+    # a search visits at most max_nodes nodes: one short of 5958 stops inside
+    # the exhaustion, and exactly 5958 completes it with nothing left for m=6,
     # which n-1 = 6 single stars settle without a search.
-    res = f_exact(7, 1, SearchBudget(max_nodes=5991))
+    res = f_exact(7, 1, SearchBudget(max_nodes=5957))
     assert res.status is SearchStatus.BUDGET_EXCEEDED
     assert res.attempts == ((5, SearchStatus.BUDGET_EXCEEDED),)
-    assert (res.interval, res.nodes_explored) == ((5, 6), 5991)
-    res = f_exact(7, 1, SearchBudget(max_nodes=5992))
+    assert (res.interval, res.nodes_explored) == ((5, 6), 5957)
+    res = f_exact(7, 1, SearchBudget(max_nodes=5958))
     assert (res.status, res.value, res.certificate) == (SearchStatus.FOUND, 6, staircase(7, 1))
     assert res.attempts == ((5, SearchStatus.EXHAUSTED_NOT_FOUND),)
-    assert (res.interval, res.nodes_explored) == ((6, 6), 5992)
+    assert (res.interval, res.nodes_explored) == ((6, 6), 5958)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -305,18 +311,71 @@ def test_pinned_certificates(n, k):
     assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_CERTIFICATES[(n, k)]
 
 
-def _sweep_digest():
-    h = hashlib.sha256()
+@lru_cache(maxsize=None)
+def _sweep_digests():
+    """sha256 over every (n, k, m) with 1 <= k, m <= n <= 7 of status, node
+    count and certificate, and a second one that leaves the node count out."""
+    full, results = hashlib.sha256(), hashlib.sha256()
     for n in range(1, 8):
         for k in range(1, n + 1):
             for m in range(1, n + 1):
                 res = exists_decomposition(n, k, m, SearchBudget(max_nodes=200_000))
                 cert = "" if res.certificate is None else serialize(DecompositionFile(res.certificate, family="search"))
-                h.update(f"{n} {k} {m} {res.status.value} {res.nodes_explored}\n{cert}".encode())
-    return h.hexdigest()
+                full.update(f"{n} {k} {m} {res.status.value} {res.nodes_explored}\n{cert}".encode())
+                results.update(f"{n} {k} {m} {res.status.value}\n{cert}".encode())
+    return full.hexdigest(), results.hexdigest()
 
 
 def test_search_sweep_pinned():
-    # status, node count and certificate of every (n, k, m) with 1 <= k, m <= n <= 7;
     # any change to the edge order or the pruning moves it
-    assert _sweep_digest() == "d7cb26c6976823d0fcafbb7a790be289a0e9bcde26a2cac7a8c60d9af1b5a8f4"
+    assert _sweep_digests()[0] == "343119c72fe3a22cf02ed4a7749680a7549648094c583cdaf5fdb2130271e760"
+
+
+def test_search_sweep_results_pinned():
+    # statuses and certificates only, so a pruning change that keeps them
+    # leaves this pin alone; recorded before the absence term joined the
+    # slack.  Its m = n rows find n-1 forests and leave one empty, which the
+    # absence term alone would cut (and report K_2 undecomposable into 2)
+    assert _sweep_digests()[1] == "c488dd44bb2978c3df2108a89d7f077d1b756ed03956cb1fffe6ee1c05b3beca"
+
+
+def _absence_slack_along(d):
+    """The slack bound of the search's docstring, recomputed from each prefix
+    of d's edges in lexicographic order, with m = d's forest count."""
+    n, m = d.n, d.forest_count
+    forest_of = {}
+    for fi, forest in enumerate(d.forests):
+        for star in forest.stars:
+            for leaf in star.leaves:
+                forest_of[(min(star.center, leaf), max(star.center, leaf))] = fi
+    edges = _lex_edges(n)
+    members = [set() for _ in range(m)]  # vertices each forest holds so far
+    sizes = [0] * m  # edges each forest holds so far
+    degree = [0] * n  # edges placed at each vertex so far
+    bounds = []
+    for t in range(len(edges) + 1):
+        if t:
+            (u, v), f = edges[t - 1], forest_of[edges[t - 1]]
+            members[f] |= {u, v}
+            sizes[f] += 1
+            degree[u] += 1
+            degree[v] += 1
+        comps = [len(members[f]) - sizes[f] for f in range(m)]  # a prefix of a forest is a forest
+        absent = [sum(v not in members[f] for f in range(m)) for v in range(n)]
+        needed = [n - 1 - degree[v] for v in range(n)]
+        bounds.append(m * n - len(edges) - sum(max(c, 1) for c in comps)
+                      - sum(max(a - r, 0) for a, r in zip(absent, needed)))
+    return bounds
+
+
+@pytest.mark.parametrize("make", [
+    k16, k27, lambda: k4_construction(2), lambda: broken_double_star(8), lambda: f2_construction(20),
+], ids=["k16", "k27", "k4gen-m2", "bds-t8", "f2-n20"])
+def test_absence_slack_never_prunes_a_valid_decomposition(make):
+    # every forest of these decompositions is in use, so the bound must stay
+    # >= 0 on every prefix; once every edge is placed it is exactly 0
+    d = make().decomposition
+    assert all(f.stars for f in d.forests)
+    bounds = _absence_slack_along(d)
+    assert min(bounds) >= 0
+    assert bounds[-1] == 0
