@@ -17,6 +17,7 @@ from .core import PreconditionError
 # builder patched here (as the benchmark's tracer does) is the one that runs
 from .construct import (
     FAMILIES,
+    broken_double_star,
     conjecture_construction,
     f2_construction,
     f3_construction,

@@ -161,6 +161,14 @@ def _print_edge_list(tag: str, count: int, shown: list | tuple) -> None:
     print(f"{tag} ({count}):" + (f" {text}{suffix}" if count else " -"))
 
 
+def _report_or_reason(reason: type[Exception], check, *args, **kwargs):
+    """``check(*args, **kwargs)``, or the ``reason`` it raised for not applying."""
+    try:
+        return check(*args, **kwargs)
+    except reason as exc:
+        return exc
+
+
 def cmd_analyze(args) -> int:
     f = _load(args.infile)
     d = f.decomposition
@@ -168,46 +176,39 @@ def cmd_analyze(args) -> int:
     rh = root_hypergraph(d)
     prof = degree_profile(rh)
     iso = check_no_isolated(rh)
-
-    payload: dict = {
-        "valid": report.ok,
-        "hyperedges": [sorted(e) for e in rh.hyperedges],
-        "degree_profile": {
-            "m": prof.m,
-            "r": prof.r,
-            "p": {str(j): c for j, c in prof.p.items()},
-            "isolated": prof.isolated,
-            "degree_sum": prof.degree_sum,
-        },
-        "no_isolated": {"applicable": iso.applicable, "isolated": list(iso.isolated), "ok": iso.ok},
-    }
-    try:
-        count_report = check_counting_inequality(rh)
-        payload["counting"] = {
-            "lhs": count_report.lhs,
-            "rhs": count_report.rhs,
-            "slack": count_report.slack,
-            "aggregate_applicable": True,  # check_counting_inequality raised otherwise
-            "aggregate_slack": count_report.counting_slack,
-            "ok": count_report.ok,
-        }
-    except NotApplicableError as exc:
-        payload["counting"] = {"not_applicable": str(exc)}
-    try:
-        placement = check_degree1_placement(d, report=report)
-        payload["degree1_placement"] = {
-            "ok": placement.ok,
-            "shared_degree1": [[fi, list(vs)] for fi, vs in placement.shared_degree1],
-            "pinched_degree2": [list(x) for x in placement.pinched_degree2],
-        }
-    except (NotApplicableError, DecompositionError) as exc:
-        payload["degree1_placement"] = {"not_applicable": str(exc)}
-    try:
-        payload["broken_double_star"] = is_broken_double_star(d, report=report)
-    except NotApplicableError as exc:
-        payload["broken_double_star"] = f"not applicable: {exc}"
+    counting = _report_or_reason(NotApplicableError, check_counting_inequality, rh)
+    placement = _report_or_reason(DecompositionError, check_degree1_placement, d, report=report)
+    bds = _report_or_reason(NotApplicableError, is_broken_double_star, d, report=report)
+    if isinstance(bds, NotApplicableError):
+        bds = f"not applicable: {bds}"
 
     if args.json:
+        payload = {
+            "valid": report.ok,
+            "hyperedges": [sorted(e) for e in rh.hyperedges],
+            "degree_profile": {
+                "m": prof.m,
+                "r": prof.r,
+                "p": {str(j): c for j, c in prof.p.items()},
+                "isolated": prof.isolated,
+                "degree_sum": prof.degree_sum,
+            },
+            "no_isolated": {"applicable": iso.applicable, "isolated": list(iso.isolated), "ok": iso.ok},
+            "counting": {"not_applicable": str(counting)} if isinstance(counting, Exception) else {
+                "lhs": counting.lhs,
+                "rhs": counting.rhs,
+                "slack": counting.slack,
+                "aggregate_applicable": True,  # check_counting_inequality raised otherwise
+                "aggregate_slack": counting.counting_slack,
+                "ok": counting.ok,
+            },
+            "degree1_placement": {"not_applicable": str(placement)} if isinstance(placement, Exception) else {
+                "ok": placement.ok,
+                "shared_degree1": [[fi, list(vs)] for fi, vs in placement.shared_degree1],
+                "pinched_degree2": [list(x) for x in placement.pinched_degree2],
+            },
+            "broken_double_star": bds,
+        }
         print(json.dumps(payload, sort_keys=True))
         return EXIT_OK
     print(f"valid: {'yes' if report.ok else 'no'}")
@@ -220,18 +221,16 @@ def cmd_analyze(args) -> int:
           f"isolated={prof.isolated} p: {pstr}")
     print(f"no isolated vertex: {'ok' if iso.ok else 'VIOLATED'}"
           + ("" if iso.applicable else " (not forced: m >= n-1)"))
-    cnt = payload["counting"]
-    if "not_applicable" in cnt:
-        print(f"counting inequality: not applicable ({cnt['not_applicable']})")
+    if isinstance(counting, Exception):
+        print(f"counting inequality: not applicable ({counting})")
     else:
-        print(f"counting inequality: slack={cnt['slack']} aggregate_slack={cnt['aggregate_slack']} "
-              f"{'ok' if cnt['ok'] else 'VIOLATED'}")
-    placement = payload["degree1_placement"]
-    if "not_applicable" in placement:
-        print(f"degree-1 placement: not applicable ({placement['not_applicable']})")
+        print(f"counting inequality: slack={counting.slack} aggregate_slack={counting.counting_slack} "
+              f"{'ok' if counting.ok else 'VIOLATED'}")
+    if isinstance(placement, Exception):
+        print(f"degree-1 placement: not applicable ({placement})")
     else:
-        print(f"degree-1 placement: {'ok' if placement['ok'] else 'VIOLATED'}")
-    print(f"broken double star: {payload['broken_double_star']}")
+        print(f"degree-1 placement: {'ok' if placement.ok else 'VIOLATED'}")
+    print(f"broken double star: {bds}")
     return EXIT_OK
 
 

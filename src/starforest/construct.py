@@ -422,9 +422,10 @@ class Family(NamedTuple):
 
 
 # bound_report's priority order: min() keeps the first of equal sizes, and
-# conjecture ties f2, f3 and k4gen wherever both apply
+# conjecture ties f2, f3 and k4gen wherever both apply; bds is quoted only
+# where 2k > n, as at 2k = n it ties conjecture
 FAMILIES: dict[str, Family] = {
-    "bds": Family(("t",), "broken_double_star"),
+    "bds": Family(("t",), "broken_double_star", lambda n, k: (n // 2,) if n % 2 == 0 and n >= 6 and 2 * k > n else None),
     "f2": Family(("n",), "f2_construction", lambda n, k: (n,) if k >= 2 and n % 2 == 0 and n >= 4 else None),
     "k27": Family((), "k27"),
     "f3": Family(("n",), "f3_construction", lambda n, k: (n,) if k >= 3 and n >= 27 and n % 27 == 0 else None),

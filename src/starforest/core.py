@@ -139,8 +139,7 @@ class LabelScheme:
     def expected_n(self) -> int | None:
         if self.name == "f3cube":
             return 27
-        if self.name == "block12m4":
-            assert self.param is not None
+        if self.param is not None:  # only block12m4 takes one
             return 12 * self.param + 4
         return None
 

@@ -218,23 +218,23 @@ class FExactResult:
 def f_exact(n: int, k: int, budget: SearchBudget | None = None) -> FExactResult:
     """Exact F_k(n) by ascending forest budgets from the best proven lower bound.
 
-    Every m below the answer yields an exhaustion token in ``attempts``.  If
-    the budget dies first, the result carries the bracketing interval instead
-    of a value; if it dies at m = n-1, the answer is the staircase of n-1
-    single stars (forest i: center i, leaves i+1..n-1), as the search finds.
+    Every m below the answer yields an exhaustion token in ``attempts``.  Only
+    m < n-1 is searched: once those are exhausted (or below the lower bound),
+    the answer is n-1, and its certificate is the staircase of n-1 single
+    stars (forest i: center i, leaves i+1..n-1).  That is the assignment the
+    search would find first at m = n-1: when edge (u, v) comes, every forest
+    j < u already holds both u and v, so forest u is the lowest that can
+    take it.  If the budget dies first, the result carries the bracketing
+    interval instead of a value.
     """
     if n < 1 or k < 1:
         raise PreconditionError("needs n >= 1 and k >= 1")
     budget = budget or SearchBudget()
-    if n == 1:
-        empty = Decomposition(n=1, k=k, forests=())
-        return FExactResult(SearchStatus.FOUND, 0, empty, (), 0, (0, 0), 0)
-
     lb, _ = safe_lower_bound(n, k)
     deadline = time.monotonic() + budget.wall_time
     nodes = 0
     attempts: list[tuple[int, SearchStatus]] = []
-    for m in range(lb, n):
+    for m in range(lb, n - 1):
         time_left = deadline - time.monotonic()
         if time_left <= 0 or nodes >= budget.max_nodes:
             break
@@ -248,11 +248,9 @@ def f_exact(n: int, k: int, budget: SearchBudget | None = None) -> FExactResult:
         if res.status is SearchStatus.BUDGET_EXCEEDED:
             break
     else:
-        raise AssertionError("unreachable: n-1 single stars always decompose K_n")
-    if m == n - 1:  # each m < n-1 is exhausted or below the lower bound; n-1 single stars work
         cert = Decomposition(n, k, tuple(StarForest((Star(i, tuple(range(i + 1, n))),)) for i in range(n - 1)))
         if not validate_decomposition(cert).ok:
             raise AssertionError
-        return FExactResult(SearchStatus.FOUND, m, cert, tuple(attempts), lb, (m, m), nodes)
+        return FExactResult(SearchStatus.FOUND, n - 1, cert, tuple(attempts), lb, (n - 1, n - 1), nodes)
     return FExactResult(SearchStatus.BUDGET_EXCEEDED, None, None,
                         tuple(attempts), lb, (m, n - 1), nodes)

@@ -16,7 +16,8 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import filterfalse, repeat
+from functools import cached_property
+from itertools import chain, filterfalse, repeat
 
 from .core import (
     Decomposition,
@@ -154,12 +155,10 @@ class RootHypergraph:
     def m(self) -> int:
         return len(self.hyperedges)
 
-    def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for e in self.hyperedges:
-            for v in e:
-                deg[v] += 1
-        return deg
+    @cached_property
+    def degree(self) -> Counter[int]:
+        """Each center -> the hyperedges through it; sparse, a vertex of degree 0 has no entry."""
+        return Counter(chain.from_iterable(self.hyperedges))
 
 
 def root_hypergraph(d: Decomposition) -> RootHypergraph:
@@ -170,15 +169,19 @@ def root_hypergraph(d: Decomposition) -> RootHypergraph:
 @dataclass(frozen=True)
 class IsolationReport:
     applicable: bool  # only forced when m < n-1
-    isolated: tuple[int, ...]
     ok: bool
+    hypergraph: RootHypergraph  # the report compares and hashes by it
+
+    @cached_property
+    def isolated(self) -> tuple[int, ...]:
+        """The vertices no hyperedge holds, in order, listed on first read only."""
+        return tuple(filterfalse(self.hypergraph.degree.__contains__, range(self.hypergraph.n)))
 
 
 def check_no_isolated(rh: RootHypergraph) -> IsolationReport:
     """Every vertex must be some star's center when fewer than n-1 forests are used."""
-    isolated = tuple(v for v, dg in enumerate(rh.degrees()) if dg == 0)
     applicable = rh.m < rh.n - 1
-    return IsolationReport(applicable=applicable, isolated=isolated, ok=not applicable or not isolated)
+    return IsolationReport(applicable=applicable, ok=not applicable or len(rh.degree) == rh.n, hypergraph=rh)
 
 
 @dataclass(frozen=True)
@@ -194,26 +197,23 @@ class DegreeProfile:
 
 
 def degree_profile(rh: RootHypergraph) -> DegreeProfile:
-    """Exact degree counts of the root-hypergraph.
+    """Exact degree counts of the root-hypergraph, read from its degree table.
 
-    Always satisfies sum_j p_j + isolated = n and degree_sum = sum_j j*p_j;
-    when every hyperedge has size 2 or 3 the degree sum additionally equals
-    3m - r.  All three identities are checked, also under ``python -O``.
+    ``isolated`` is n minus the table's size, which is right only while the
+    table names vertices of K_n alone; when every hyperedge has size 2 or 3
+    the degree sum also equals 3m - r.  Both are checked, also under
+    ``python -O``.
     """
-    degrees = rh.degrees()
-    counts = Counter(dg for dg in degrees if dg > 0)
-    isolated = sum(1 for dg in degrees if dg == 0)
-    degree_sum = sum(degrees)
+    degree = rh.degree
+    if degree and (min(degree) < 0 or max(degree) >= rh.n):
+        raise AssertionError(f"degree table names a vertex outside 0..{rh.n - 1}")
+    degree_sum = sum(degree.values())
     r = sum(1 for e in rh.hyperedges if len(e) == 2)
-    prof = DegreeProfile(m=rh.m, r=r, p=dict(sorted(counts.items())), isolated=isolated, degree_sum=degree_sum)
-    if sum(prof.p.values()) + prof.isolated != rh.n:
-        raise AssertionError(f"degree profile counts {sum(prof.p.values()) + prof.isolated} vertices, n={rh.n}")
-    if sum(j * c for j, c in prof.p.items()) != degree_sum:
-        raise AssertionError(f"degree profile does not sum to the degree sum {degree_sum}")
     sizes = {len(e) for e in rh.hyperedges}
     if sizes <= {2, 3} and degree_sum != 3 * rh.m - r:
         raise AssertionError(f"degree sum {degree_sum} != 3m - r = {3 * rh.m - r}")
-    return prof
+    p = dict(sorted(Counter(degree.values()).items()))
+    return DegreeProfile(m=rh.m, r=r, p=p, isolated=rh.n - len(degree), degree_sum=degree_sum)
 
 
 @dataclass(frozen=True)
@@ -246,10 +246,10 @@ def check_counting_inequality(rh: RootHypergraph) -> CountingReport:
         raise NotApplicableError("root-hypergraph has a hyperedge smaller than 2")
 
     prof = degree_profile(rh)
-    degrees = rh.degrees()
+    degree = rh.degree
     bipartite_edge_count = 0
     for e in rh.hyperedges:
-        ones = sum(1 for v in e if degrees[v] == 1)
+        ones = sum(1 for v in e if degree[v] == 1)
         bipartite_edge_count += ones * (len(e) - ones)
 
     lhs = 2 * prof.p_j(1) - prof.r
@@ -303,8 +303,8 @@ def check_degree1_placement(d: Decomposition, *, report: ValidationReport | None
     if any(len(e) < 2 for e in rh.hyperedges):
         raise NotApplicableError("needs every hyperedge to have at least 2 vertices")
 
-    degrees = rh.degrees()
-    v1 = {v for v, dg in enumerate(degrees) if dg == 1}
+    degree = rh.degree
+    v1 = {v for v, dg in degree.items() if dg == 1}
 
     shared = []
     for fi, e in enumerate(rh.hyperedges):
@@ -317,9 +317,7 @@ def check_degree1_placement(d: Decomposition, *, report: ValidationReport | None
         for v in e:
             incident.setdefault(v, []).append(fi)
     pinched = []
-    for v, dg in enumerate(degrees):
-        if dg != 2:
-            continue
+    for v in sorted(v for v, dg in degree.items() if dg == 2):
         fa, fb = incident[v]
         if (rh.hyperedges[fa] - {v}) & v1 and (rh.hyperedges[fb] - {v}) & v1:
             pinched.append((v, fa, fb))

@@ -79,6 +79,15 @@ def test_bound_report_sources():
     assert r.upper_source == "construction:k4gen"
 
 
+def test_bound_report_quotes_bds_where_no_other_family_reaches_it():
+    # for even n >= 6 with 2k > n the broken double star's n/2+1 forests meet
+    # the Akiyama-Kano bound; at 2k = n the conjecture family ties it first
+    for n, k in ((6, 4), (10, 6), (14, 8)):
+        r = bound_report(n, k)
+        assert (r.lower, r.upper, r.upper_source) == (n // 2 + 1, n // 2 + 1, "construction:bds")
+    assert bound_report(8, 4).upper_source == "construction:conjecture"
+
+
 def test_bound_report_with_search():
     r = bound_report(5, 2, use_search=True)
     assert r.lower == r.upper == 4
@@ -118,11 +127,11 @@ _BOUND_DIGESTS = {
     1: "4881f47dafcd52625e83fe22dc1817231f25ce2c89b187d37894e1c5613999b1",
     2: "8aca46cf53bb50c30b3e5338c1618bc05535e6316701121831d358bb621cf8a3",
     3: "61daf53c7da251b4db9daec203d4f1830ec49309910bf9dd48d17a4cbd1bae7a",
-    4: "97925ed793aa27abdc38216819d50fb163366c0b1e80141543b965d19572b7b2",
-    5: "786a176cac28d7eadf0d60bf24fc45e1a1127d4ce9187d3d790cb7c00e1b5b52",
-    6: "2f7ba8fc62c88d10d979769ca1664f570c2bafe430dc4f0479f81d28df85eee6",
-    7: "88a0a4d738cedfa8e876e37ad7e99d84bcb44ca70aa3097969cffb1348af4f17",
-    8: "dbc787d060dadaf98b2a84c33ebc1d54a17978c2c29906569a4f34434e833d17",
+    4: "6befb93d3221ec36432dfc7bde4516733a3d93bdc4744b6bfd998279f8f1c91d",
+    5: "1260a97b639aade938637817c407ce748cac111aea5dda222156a9d4ce0f735f",
+    6: "532cac1d77cac481df4be779a87b88c210a361fb06cc01398d13213bd7f85530",
+    7: "837eeb5af65d0c812acd4419a88283b7f0dfe01735e86578ed02834dbce68ead",
+    8: "96bc73b9cb1f1fd10426eae05536095d7b385b1b2bf400c518ffe67908d54a27",
 }
 
 
@@ -140,4 +149,4 @@ def test_bound_report_with_search_pinned():
     for n in range(1, 8):
         for k in range(1, n + 1):
             h.update(repr(bound_report(n, k, use_search=True, budget=SearchBudget(max_nodes=20_000))).encode())
-    assert h.hexdigest() == "e944eda13b5853d1ae699649c5f0a789fc6d4529543e3621357922ee676272d3"
+    assert h.hexdigest() == "2d67abac9827cd953c5136d836844b03467b465d6cae7bc1ea85fe9bc11621e5"

@@ -549,10 +549,28 @@ def test_verify_huge_header_counts_missing_edges(run_module, tmp_path):
     )
 
 
-@pytest.mark.parametrize("command", [["analyze"], ["verify", "--json"], ["export", "--format", "dot"]])
+def test_analyze_huge_header_text(run_module, tmp_path):
+    # the degree table holds centers only and the isolated vertices are
+    # counted, not listed, so text analyze on 10^11 vertices fits 256 MB
+    path = tmp_path / "huge.sfd"
+    path.write_text("decomposition v1\nn 100000000000\nk 2\n")
+    proc = run_module("analyze", "--in", str(path), address_space=256 << 20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        "valid: no\n"
+        "degree profile: m=0 r=0 degree_sum=0 isolated=100000000000 p: \n"
+        "no isolated vertex: VIOLATED\n"
+        "counting inequality: slack=0 aggregate_slack=-500000000000 VIOLATED\n"
+        "degree-1 placement: not applicable (placement checks need a valid decomposition)\n"
+        "broken double star: False\n"
+    )
+
+
+@pytest.mark.parametrize("command", [["analyze", "--json"], ["verify", "--json"], ["export", "--format", "dot"]])
 def test_huge_header_out_of_memory_exits_2(run_module, tmp_path, command):
-    # these need a table with one entry per vertex; on 10^11 vertices that
-    # fails in a 256 MB address space with one stderr line, and before any output
+    # these list every vertex (analyze --json its isolated ones); on 10^11
+    # vertices that fails in a 256 MB address space with one stderr line, and
+    # before any output
     path = tmp_path / "huge.sfd"
     path.write_text("decomposition v1\nn 100000000000\nk 2\n")
     proc = run_module(*command, "--in", str(path), address_space=256 << 20)

@@ -279,7 +279,7 @@ def test_family_table_upper_args_build_a_fitting_decomposition():
                     d = getattr(construct, fam.builder)(*args).decomposition
                     built[name, args] = (d.n, d.k)
                 assert built[name, args][0] == n and built[name, args][1] <= k, (name, n, k)
-    assert {name for name, _ in built} == {"f2", "f3", "k4gen", "conjecture"}
+    assert {name for name, _ in built} == {"bds", "f2", "f3", "k4gen", "conjecture"}
 
 
 def test_family_builders_are_patch_points():

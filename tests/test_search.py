@@ -65,13 +65,13 @@ def test_column_rule_prunes_relabelled_columns():
     # exact node counts of the benchmark's eight instances, measured when the
     # absence term joined the slack prune; before it and the vertex-symmetry
     # column rule, (7, 2, 4) and (7, 3, 4) visited 210872 and 235321 nodes.
-    # Any change to the pruning moves them.
+    # Any change to the pruning moves them.  F_2(6) = 5 = n-1 needs no search.
     exhaustions = {(6, 2, 4): 5945, (7, 2, 4): 7049, (7, 3, 4): 7710,
                    (7, 4, 4): 7710, (8, 2, 4): 290}
     for (n, k, m), nodes in exhaustions.items():
         res = exists_decomposition(n, k, m)
         assert (res.status, res.nodes_explored) == (SearchStatus.EXHAUSTED_NOT_FOUND, nodes)
-    for (n, k), nodes in {(6, 2): 15, (7, 3): 1088, (7, 7): 1088}.items():
+    for (n, k), nodes in {(6, 2): 0, (7, 3): 1088, (7, 7): 1088}.items():
         res = f_exact(n, k)
         assert (res.value, res.nodes_explored) == (5, nodes)
 
@@ -114,8 +114,8 @@ def test_f_exact_n7_fast_cases():
 def test_f_exact_n7_two_star_slow():
     res = f_exact(7, 2)
     assert res.value == 6  # matches ceil(3*7/4)
-    assert res.attempts == ((5, SearchStatus.EXHAUSTED_NOT_FOUND), (6, SearchStatus.FOUND))
-    assert res.nodes_explored == 2_584_590
+    assert res.attempts == ((5, SearchStatus.EXHAUSTED_NOT_FOUND),)
+    assert res.nodes_explored == 2_584_569
 
 
 def test_certificates_respect_budgets():
@@ -188,8 +188,8 @@ def test_certificate_deterministic():
 
 
 def test_exhaustion_tokens_recorded():
-    res = f_exact(4, 2)
-    assert res.attempts == ((3, SearchStatus.FOUND),)
+    res = f_exact(4, 2)  # the lower bound is 3 = n-1, which needs no search
+    assert (res.value, res.attempts, res.nodes_explored) == (3, (), 0)
     res = f_exact(6, 6)  # floor formula gives 4; found immediately
     assert res.attempts[-1][1] is SearchStatus.FOUND
 

@@ -205,17 +205,18 @@ def test_degree_profile_toy():
     assert prof.degree_sum == 4
 
 
-@pytest.mark.parametrize("degrees,message", [
-    ("[1] * (self.n + 1)", "degree profile counts 4 vertices, n=3"),
-    ("[0] * self.n", "degree sum 0 != 3m - r = 4"),
+@pytest.mark.parametrize("degree,message", [
+    ("Counter({0: 2, 1: 1, 3: 1})", "degree table names a vertex outside 0..2"),
+    ("Counter()", "degree sum 0 != 3m - r = 4"),
 ], ids=["vertex-count", "degree-sum"])
-def test_degree_profile_identities_checked_under_optimize(run_optimized, degrees, message):
-    # a RootHypergraph whose degrees() disagrees with its hyperedges must be
-    # rejected even with `python -O`
+def test_degree_profile_identities_checked_under_optimize(run_optimized, degree, message):
+    # a RootHypergraph whose degree table disagrees with its hyperedges must
+    # be rejected even with `python -O`
     proc = run_optimized(
+        "from collections import Counter\n"
         "from starforest import RootHypergraph, degree_profile\n"
         "class Skewed(RootHypergraph):\n"
-        f"    def degrees(self): return {degrees}\n"
+        f"    degree = {degree}\n"
         "degree_profile(Skewed(3, (frozenset({0, 1}), frozenset({0, 2}))))\n"
     )
     assert proc.returncode != 0
