@@ -4,6 +4,10 @@ Exit codes: 0 success (verify: valid), 1 invalid decomposition, 2 usage,
 parse, unreadable-input or out-of-memory errors, 3 search budget exceeded.
 Output is byte-deterministic for a fixed argv and input file; file writes go
 through a write-then-rename of a uniquely named temporary file beside it.
+
+``main`` builds only the parser of the command ``argv[0]`` names, and the full
+tree for any other argv or a leftover token's error.  No parser outlives a call,
+so the patches a caller (say, the benchmark's tracer) puts on one never pile up.
 """
 
 from __future__ import annotations
@@ -177,7 +181,7 @@ def cmd_analyze(args) -> int:
     prof = degree_profile(rh)
     iso = check_no_isolated(rh)
     counting = _report_or_reason(NotApplicableError, check_counting_inequality, rh)
-    placement = _report_or_reason(DecompositionError, check_degree1_placement, d, report=report)
+    placement = _report_or_reason(DecompositionError, check_degree1_placement, d, report=report, rh=rh)
     bds = _report_or_reason(NotApplicableError, is_broken_double_star, d, report=report)
     if isinstance(bds, NotApplicableError):
         bds = f"not applicable: {bds}"
@@ -306,66 +310,76 @@ def cmd_export(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="starforest",
-        description="Construct, verify, analyze and search k-star-forest decompositions of complete graphs.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# subcommand -> (its line in the top-level help, handler, ((flag, add_argument keywords), ...))
+_COMMANDS = {
+    "construct": ("emit a decomposition from a named family", cmd_construct, (
+        ("--family", dict(required=True, choices=list(FAMILIES))),
+        ("--n", dict(type=int)),
+        ("--k", dict(type=int)),
+        ("--m", dict(type=int)),
+        ("--t", dict(type=int)),
+        ("--in", dict(dest="infile", help="base decomposition file (blowup)")),
+        ("--out", dict(help="output path (default: stdout)")),
+    )),
+    "verify": ("check that a file is a valid decomposition", cmd_verify, (
+        ("--in", dict(dest="infile", default=None, help="input file (default: stdin)")),
+        ("--json", dict(action="store_true")),
+    )),
+    "analyze": ("root-hypergraph diagnostics for a decomposition file", cmd_analyze, (
+        ("--in", dict(dest="infile", default=None)),
+        ("--json", dict(action="store_true")),
+    )),
+    "search": ("exhaustive minimum-forest-count oracle", cmd_search, (
+        ("--n", dict(type=int, required=True)),
+        ("--k", dict(type=int, required=True)),
+        ("--max-forests", dict(type=int, default=None, help="decide existence for this forest budget instead of minimizing")),
+        ("--max-nodes", dict(type=int, default=50_000_000)),
+        ("--timeout", dict(type=float, default=600.0)),
+        ("--cert", dict(help="write the found certificate here")),
+        ("--json", dict(action="store_true")),
+    )),
+    "bounds": ("lower/upper bound report against the conjectured value", cmd_bounds, (
+        ("--n", dict(type=int, required=True)),
+        ("--k", dict(type=int, required=True)),
+        ("--with-search", dict(action="store_true")),
+        ("--max-nodes", dict(type=int, default=5_000_000)),
+        ("--timeout", dict(type=float, default=60.0)),
+        ("--json", dict(action="store_true")),
+    )),
+    "export": ("render a decomposition file as DOT", cmd_export, (
+        ("--in", dict(dest="infile", default=None)),
+        ("--format", dict(required=True, choices=["dot", "dot-per-forest"])),
+        ("--out", dict(help="output path for single-graph formats (default: stdout)")),
+        ("--out-dir", dict(help="output directory for per-forest formats")),
+    )),
+}
 
-    p = sub.add_parser("construct", help="emit a decomposition from a named family")
-    p.add_argument("--family", required=True, choices=list(FAMILIES))
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--in", dest="infile", help="base decomposition file (blowup)")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("verify", help="check that a file is a valid decomposition")
-    p.add_argument("--in", dest="infile", default=None, help="input file (default: stdin)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("analyze", help="root-hypergraph diagnostics for a decomposition file")
-    p.add_argument("--in", dest="infile", default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("search", help="exhaustive minimum-forest-count oracle")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max-forests", type=int, default=None,
-                   help="decide existence for this forest budget instead of minimizing")
-    p.add_argument("--max-nodes", type=int, default=50_000_000)
-    p.add_argument("--timeout", type=float, default=600.0)
-    p.add_argument("--cert", help="write the found certificate here")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_search)
-
-    p = sub.add_parser("bounds", help="lower/upper bound report against the conjectured value")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--with-search", action="store_true")
-    p.add_argument("--max-nodes", type=int, default=5_000_000)
-    p.add_argument("--timeout", type=float, default=60.0)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("export", help="render a decomposition file as DOT")
-    p.add_argument("--in", dest="infile", default=None)
-    p.add_argument("--format", required=True, choices=["dot", "dot-per-forest"])
-    p.add_argument("--out", help="output path for single-graph formats (default: stdout)")
-    p.add_argument("--out-dir", help="output directory for per-forest formats")
-    p.set_defaults(func=cmd_export)
-
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full tree, or only ``command``'s parser, with the prog and help it has in the tree."""
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"starforest {command}")
+        rows = [(parser, _COMMANDS[command])]
+    else:
+        parser = argparse.ArgumentParser(
+            prog="starforest",
+            description="Construct, verify, analyze and search k-star-forest decompositions of complete graphs.",
+        )
+        sub = parser.add_subparsers(dest="command", required=True)
+        rows = [(sub.add_parser(name, help=row[0]), row) for name, row in _COMMANDS.items()]
+    for p, (_, func, arguments) in rows:
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args, rest = build_parser(command).parse_known_args(argv[1:] if command else argv, argparse.Namespace(command=command))
+    if rest:  # the full tree words this error, with the top-level usage line
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (DecompositionError, OSError, UnicodeDecodeError) as exc:

@@ -277,7 +277,8 @@ class Degree1PlacementReport:
     pinched_degree2: tuple[tuple[int, int, int], ...]
 
 
-def check_degree1_placement(d: Decomposition, *, report: ValidationReport | None = None) -> Degree1PlacementReport:
+def check_degree1_placement(d: Decomposition, *, report: ValidationReport | None = None,
+                            rh: RootHypergraph | None = None) -> Degree1PlacementReport:
     """Center-placement conditions on degree-1 vertices of a valid decomposition.
 
     (1) no hyperedge may contain two degree-1 vertices; (2) the two hyperedges
@@ -285,9 +286,9 @@ def check_degree1_placement(d: Decomposition, *, report: ValidationReport | None
     failure on a genuinely valid decomposition would break the coverage
     argument, so test suites treat any violation as fatal.
 
-    ``report``, if given, must be ``validate_decomposition(d)``; a caller that
-    already holds it saves a second validation.  Without it, ``d`` is
-    validated here.
+    ``report`` and ``rh``, if given, must be ``validate_decomposition(d)`` and
+    ``root_hypergraph(d)``; a caller that already holds them saves computing
+    them again here.
 
     Raises:
         PreconditionError: if the decomposition is not valid.
@@ -297,7 +298,7 @@ def check_degree1_placement(d: Decomposition, *, report: ValidationReport | None
         report = validate_decomposition(d)
     if not report.ok:
         raise PreconditionError("placement checks need a valid decomposition")
-    rh = root_hypergraph(d)
+    rh = root_hypergraph(d) if rh is None else rh
     if rh.m >= d.n - 1:
         raise NotApplicableError("needs fewer than n-1 forests")
     if any(len(e) < 2 for e in rh.hyperedges):

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -373,6 +374,32 @@ def test_checks_validate_without_report(tmp_path):
     assert is_broken_double_star(parse((GOLDEN / "bds_t4.sfd").read_text()).decomposition)
 
 
+@pytest.mark.parametrize("name", ["k27", "bds_t4"])
+def test_degree1_placement_reuses_a_given_root_hypergraph(monkeypatch, name):
+    d = parse((GOLDEN / f"{name}.sfd").read_text()).decomposition
+    report, rh = verify.validate_decomposition(d), verify.root_hypergraph(d)
+    expected = check_degree1_placement(d, report=report)
+    calls = []
+    monkeypatch.setattr(verify, "root_hypergraph", lambda d: calls.append(d))
+    assert check_degree1_placement(d, report=report, rh=rh) == expected
+    assert calls == []
+
+
+def test_analyze_builds_the_root_hypergraph_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(d, _build=verify.root_hypergraph):
+        calls.append(d)
+        return _build(d)
+
+    monkeypatch.setattr(cli, "root_hypergraph", counted)
+    monkeypatch.setattr(verify, "root_hypergraph", counted)
+    rc, out, _ = run(capsys, ["analyze", "--json", "--in", str(GOLDEN / "k27.sfd")])
+    assert rc == 0
+    assert json.loads(out)["degree1_placement"]["ok"] is True
+    assert len(calls) == 1
+
+
 def test_search_json(capsys):
     rc, out, _ = run(capsys, ["search", "--n", "5", "--k", "2", "--json"])
     assert rc == 0
@@ -415,6 +442,81 @@ def test_usage_errors_exit_2(capsys, family, missing):
     assert rc == 2
     assert out == ""
     assert err == f"error: --{missing} is required for the {family} family\n"
+
+
+# argv that each parser path must answer alike: help, usage errors of the top
+# level and of every subcommand (bad type, bad choice, missing flag, leftover
+# token), and accepted lines, the ones that read input given an empty stdin
+PARSER_CORPUS = [
+    [], ["-h"], ["--help"], ["bogus"], ["--"], ["--", "verify"], ["-h", "verify"],
+    ["verify", "-h"], ["construct", "-h"], ["search", "--help"], ["analyze", "-h"], ["bounds", "-h"], ["export", "-h"],
+    ["verify", "--bogus"], ["verify", "--js"], ["verify", "--in"], ["verify", "--json=x"], ["verify", "extra"],
+    ["verify", "--", "--json"], ["verify", "--bogus", "-h"], ["verify", "verify"],
+    ["construct"], ["construct", "--family", "nope"], ["construct", "--family", "k27", "--n", "x"],
+    ["construct", "--family", "k27", "extra"], ["construct", "--family"], ["construct", "--fam", "k27"],
+    ["analyze", "--in"], ["analyze", "--json", "extra"],
+    ["search"], ["search", "--n", "4"], ["search", "--n", "x", "--k", "2"], ["search", "--n", "4", "--k", "2", "extra"],
+    ["search", "--n", "4", "--k", "2", "--max", "3"], ["search", "--n", "4", "--k", "2", "--timeout", "soon"],
+    ["bounds"], ["bounds", "--n", "7", "--k", "x"], ["bounds", "--n", "7", "--k", "2", "extra"],
+    ["export"], ["export", "--format", "png"], ["export", "--format", "dot", "extra"],
+    ["verify"], ["verify", "--json"], ["analyze"], ["export", "--format", "dot"],
+    ["construct", "--family", "k16"], ["construct", "--fam", "f2", "--n", "4"], ["construct", "--family", "bds"],
+    ["search", "--n", "4", "--k", "2", "--max-f", "3"], ["search", "--n", "4", "--k", "2", "--json"],
+    ["bounds", "--n", "76", "--k", "4", "--json"],
+    ["bounds", "--n", "5", "--k", "2", "--with-search", "--max-nodes", "1000"],
+]
+
+
+def _outcome(capsys, call):
+    """(exit code or None, stdout, stderr, result) of ``call()``."""
+    try:
+        code, result = None, call()
+    except SystemExit as exc:
+        code, result = exc.code, None
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, result
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
+def test_main_parses_like_the_full_tree(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help and usage to the terminal width
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    tree_code, tree_out, tree_err, tree_args = _outcome(capsys, lambda: cli.build_parser().parse_args(argv))
+    seen, build = [], cli.build_parser
+
+    def recording(command=None):
+        parser = build(command)
+        for name in ("parse_args", "parse_known_args"):
+            def parse(*a, _parse=getattr(parser, name), **kw):
+                result = _parse(*a, **kw)
+                seen.append(result[0] if isinstance(result, tuple) else result)
+                return result
+            setattr(parser, name, parse)
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    code, out, err, rc = _outcome(capsys, lambda: main(argv))
+    if tree_args is None:  # rejected, or help printed: the same exit, word for word
+        assert (code, out, err) == (tree_code, tree_out, tree_err)
+    else:  # accepted: the command runs on the namespace the full tree gives
+        assert (code, tree_out, tree_err) == (None, "", "")
+        assert isinstance(rc, int)
+        assert seen[-1] == tree_args
+        assert list(vars(seen[-1])) == list(vars(tree_args))
+
+
+def test_accepted_argv_builds_one_single_command_parser(capsys, monkeypatch):
+    calls, build = [], cli.build_parser
+
+    def counted(command=None):
+        calls.append((command, build(command)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    assert main(["bounds", "--n", "76", "--k", "4", "--json"]) == 0
+    assert [command for command, _ in calls] == ["bounds"]
+    assert not any(isinstance(a, argparse._SubParsersAction) for a in calls[0][1]._actions)
+    assert json.loads(capsys.readouterr().out)["n"] == 76
 
 
 def test_readme_lists_every_family():
