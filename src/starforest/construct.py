@@ -22,7 +22,6 @@ from .core import (
     PreconditionError,
     Star,
     StarForest,
-    make_edge,
 )
 from .fileio import DecompositionFile
 from .verify import validate_decomposition
@@ -57,9 +56,10 @@ def _finalize(
         nslots = 0
         for center, leaves in raw:
             kept: list[int] = []
+            nslots += len(leaves)
             for leaf in leaves:
-                nslots += 1
-                e = make_edge(center, leaf)
+                # a self-loop keeps its leaf, so Star rejects it below
+                e = (center, leaf) if center < leaf else (leaf, center)
                 if e in claimed:
                     duplicates.add(e)
                 else:

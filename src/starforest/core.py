@@ -59,7 +59,7 @@ class Star:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "leaves", tuple(self.leaves))
-        if self.center < 0 or any(l < 0 for l in self.leaves):
+        if self.center < 0 or (self.leaves and min(self.leaves) < 0):
             raise MalformedStarError(f"negative vertex id in star centered at {self.center}")
         if not self.leaves:
             raise MalformedStarError(f"star centered at {self.center} has no leaves")

@@ -18,7 +18,9 @@ Parsing is strict: unknown directives, a repeated header line or meta key,
 out-of-range vertices, repeated leaves or a center listed among its own leaves
 are rejected with the offending line number.  ``parse(serialize(f)) == f``
 for a ``DecompositionFile`` f, including forest and leaf order, forest names
-and metadata.
+and metadata: ``serialize`` rejects a family, forest name, meta key or meta
+value that is empty, has leading or trailing whitespace or a line break (what
+``str.splitlines`` splits on), and a meta key with any whitespace.
 """
 
 from __future__ import annotations
@@ -60,6 +62,13 @@ class DecompositionFile:
             raise DecompositionError("provenance length must match the forest count")
 
 
+def _header_text(what: str, text: str) -> str:
+    """``text`` if ``parse`` reads it back unchanged after a directive."""
+    if text.splitlines() != [text] or text.strip() != text:
+        raise DecompositionError(f"{what} {text!r} is empty, padded or split by a line break")
+    return text
+
+
 def serialize(f: DecompositionFile) -> str:
     d, provenance = f.decomposition, f.provenance
     lines = [_HEADER, f"n {d.n}", f"k {d.k}"]
@@ -67,16 +76,18 @@ def serialize(f: DecompositionFile) -> str:
         suffix = "" if d.labels.param is None else f" {d.labels.param}"
         lines.append(f"labels {d.labels.name}{suffix}")
     if f.family is not None:
-        lines.append(f"family {f.family}")
+        lines.append(f"family {_header_text('family', f.family)}")
     for key in sorted(f.meta):
-        lines.append(f"meta {key} {f.meta[key]}")
+        if key.split() != [key]:
+            raise DecompositionError(f"meta key {key!r} is empty or contains whitespace")
+        lines.append(f"meta {key} {_header_text('meta value', f.meta[key])}")
     if f.raw_duplicates:
         lines.append("duplicates " + " ".join(f"{u}-{v}" for u, v in f.raw_duplicates))
     for fi, forest in enumerate(d.forests):
         name = provenance[fi] if provenance else None
-        lines.append(f"forest {name}" if name else "forest")
+        lines.append("forest" if name is None else f"forest {_header_text('forest name', name)}")
         for star in forest.stars:
-            lines.append(f"star {star.center} : " + " ".join(str(v) for v in star.leaves))
+            lines.append(f"star {star.center} : " + " ".join([str(v) for v in star.leaves]))
     return "\n".join(lines) + "\n"
 
 
@@ -114,6 +125,27 @@ def parse(text: str) -> DecompositionFile:
             continue
         tokens = line.split()
         directive = tokens[0]
+        if directive == "star":  # the common line, so tested first
+            if not forests:
+                raise ParseError(f"line {lineno}: star before any forest")
+            if n is None:
+                raise ParseError(f"line {lineno}: star before n was given")
+            if len(tokens) < 4 or tokens[2] != ":":
+                raise ParseError(f"line {lineno}: expected 'star <center> : <leaf> ...'")
+            digits = tokens[1] + "".join(tokens[3:])  # every token at once; the center too
+            if digits.isdigit() and digits.isascii():
+                center, leaves = int(tokens[1]), tuple(map(int, tokens[3:]))
+            else:  # a sign, '-0' or a bad token: read token by token for the error's wording
+                center = _parse_int(tokens[1], lineno, "star center")
+                leaves = tuple(_parse_int(tok, lineno, "leaf") for tok in tokens[3:])
+            if center >= n or max(leaves) >= n:
+                v = next(v for v in (center, *leaves) if v >= n)  # the first in line order
+                raise ParseError(f"line {lineno}: vertex {v} out of range for n={n}")
+            try:
+                forests[-1].append(Star(center, leaves))
+            except MalformedStarError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
+            continue
         if directive in _ONCE:
             if directive in seen:
                 raise ParseError(f"line {lineno}: {directive} given twice")
@@ -158,22 +190,6 @@ def parse(text: str) -> DecompositionFile:
         elif directive == "forest":
             forests.append([])
             names.append(line.split(None, 1)[1] if len(tokens) > 1 else None)
-        elif directive == "star":
-            if not forests:
-                raise ParseError(f"line {lineno}: star before any forest")
-            if n is None:
-                raise ParseError(f"line {lineno}: star before n was given")
-            if len(tokens) < 4 or tokens[2] != ":":
-                raise ParseError(f"line {lineno}: expected 'star <center> : <leaf> ...'")
-            center = _parse_int(tokens[1], lineno, "star center")
-            leaves = [_parse_int(tok, lineno, "leaf") for tok in tokens[3:]]
-            for v in (center, *leaves):
-                if v >= n:
-                    raise ParseError(f"line {lineno}: vertex {v} out of range for n={n}")
-            try:
-                forests[-1].append(Star(center, tuple(leaves)))
-            except MalformedStarError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
         else:
             raise ParseError(f"line {lineno}: unknown directive {directive!r}")
 
@@ -220,10 +236,10 @@ def export_dot(d: Decomposition) -> str:
     for v in range(d.n):
         out.append(f'  {v} [label="{_label(d, v)}"];')
     for fi, forest in enumerate(d.forests):
-        color = _PALETTE[fi % len(_PALETTE)]
-        for star in forest.stars:
-            for leaf in star.leaves:
-                out.append(f'  {star.center} -- {leaf} [color="{color}"];')
+        tail = f' [color="{_PALETTE[fi % len(_PALETTE)]}"];'
+        for star in forest.stars:  # one string per star, one line per leaf
+            head = f"  {star.center} -- "
+            out.append(head + f"{tail}\n{head}".join([str(v) for v in star.leaves]) + tail)
     out.append("}")
     return "\n".join(out) + "\n"
 
@@ -237,8 +253,8 @@ def export_dot_per_forest(d: Decomposition) -> list[str]:
         for v in touched:
             out.append(f'  {v} [label="{_label(d, v)}"];')
         for star in forest.stars:
-            for leaf in star.leaves:
-                out.append(f"  {star.center} -- {leaf};")
+            head = f"  {star.center} -- "
+            out.append(head + f";\n{head}".join([str(v) for v in star.leaves]) + ";")
         out.append("}")
         texts.append("\n".join(out) + "\n")
     return texts

@@ -8,6 +8,7 @@ import pytest
 from starforest import (
     DecompositionError,
     DecompositionFile,
+    MalformedStarError,
     PreconditionError,
     blowup,
     bounds,
@@ -307,6 +308,12 @@ def test_finalize_failure_lists_first_missing_edges():
     # nine edges are missing; the message shows the first five as edge tuples
     with pytest.raises(AssertionError, match=re.escape("missing=((0, 2), (0, 3), (0, 4), (1, 2), (1, 3)),")):
         construct._finalize(5, 1, [("a", [(0, [1])])], family="short")
+
+
+def test_finalize_rejects_a_self_loop():
+    # the dedup key is built inline and keeps the leaf, so Star's center-among-leaves check refuses it
+    with pytest.raises(MalformedStarError):
+        construct._finalize(3, 2, [("a", [(1, [0, 1, 2])]), ("b", [(0, [2])])], family="loop")
 
 
 def test_finalize_rejects_incomplete_table_under_optimize(run_optimized):

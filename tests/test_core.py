@@ -57,6 +57,18 @@ def test_star_invariants():
         Star(0, ())  # no leaves
 
 
+@pytest.mark.parametrize("center, leaves, problem", [
+    (-1, (), "negative vertex id in star centered at -1"),  # the sign check comes first
+    (0, (), "star centered at 0 has no leaves"),
+    (0, (1, -2), "negative vertex id in star centered at 0"),
+    (2, (-1, 2), "negative vertex id in star centered at 2"),
+])
+def test_star_negative_and_empty_messages(center, leaves, problem):
+    with pytest.raises(MalformedStarError) as exc:
+        Star(center, leaves)
+    assert str(exc.value) == problem
+
+
 def test_forest_edges_simple():
     assert forest_edges(StarForest((Star(0, (1, 2)),))) == [(0, 1), (0, 2)]
     assert forest_edges(StarForest((Star(0, (1,)), Star(2, (3,))))) == [(0, 1), (2, 3)]

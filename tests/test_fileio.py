@@ -1,12 +1,15 @@
+import hashlib
 from pathlib import Path
 
 import pytest
 
 from starforest import (
     Decomposition,
+    DecompositionError,
     DecompositionFile,
     ParseError,
     broken_double_star,
+    construct,
     export_dot,
     export_dot_per_forest,
     f2_construction,
@@ -96,11 +99,50 @@ def test_parse_rejects_label_scheme_mismatch():
     ("n \uff14\nk 2\n", "line 2: n must be an integer, got '\uff14'"),
     ("n 4\nk 2\nforest\nstar 0 : -\n", "line 5: leaf must be an integer, got '-'"),
     ("n 4\nk 2\nforest\nstar -1 : 0\n", "line 5: star center must be non-negative, got -1"),
-], ids=["underscore", "plus", "arabic-indic", "fullwidth-k", "fullwidth-n", "bare-minus", "negative"])
+    # the same tokens as leaves, alone and after a valid leaf; the whole line is
+    # checked at once, so each must still be found and named
+    ("n 4\nk 2\nforest\nstar 0 : +2\n", "line 5: leaf must be an integer, got '+2'"),
+    ("n 4\nk 2\nforest\nstar 0 : 1 +2 3\n", "line 5: leaf must be an integer, got '+2'"),
+    ("n 4\nk 2\nforest\nstar 0 : 1_0\n", "line 5: leaf must be an integer, got '1_0'"),
+    ("n 4\nk 2\nforest\nstar 0 : 1 1_0\n", "line 5: leaf must be an integer, got '1_0'"),
+    ("n 4\nk 2\nforest\nstar 0 : \u0663\n", "line 5: leaf must be an integer, got '\u0663'"),
+    ("n 4\nk 2\nforest\nstar 0 : 1 \u0663\n", "line 5: leaf must be an integer, got '\u0663'"),
+    # '²'.isdigit() is true and only isascii() refuses it
+    ("n 4\nk 2\nforest\nstar \u00b2 : 1\n", "line 5: star center must be an integer, got '\u00b2'"),
+    ("n 4\nk 2\nforest\nstar 0 : \u00b2\n", "line 5: leaf must be an integer, got '\u00b2'"),
+    ("n 4\nk 2\nforest\nstar 0 : 1 \u00b2\n", "line 5: leaf must be an integer, got '\u00b2'"),
+    ("n 4\nk 2\nforest\nstar 0 : 1 - 2\n", "line 5: leaf must be an integer, got '-'"),
+    ("n 4\nk 2\nforest\nstar 0 : -1\n", "line 5: leaf must be non-negative, got -1"),
+    ("n 4\nk 2\nforest\nstar 0 : 1 -1\n", "line 5: leaf must be non-negative, got -1"),
+    # every token is read before any range check, so a later bad token wins
+    ("n 4\nk 2\nforest\nstar 0 : 9 +2\n", "line 5: leaf must be an integer, got '+2'"),
+    ("n 4\nk 2\nforest\nstar 9 : 1 -1\n", "line 5: leaf must be non-negative, got -1"),
+], ids=["underscore", "plus", "arabic-indic", "fullwidth-k", "fullwidth-n", "bare-minus", "negative",
+        "leaf-plus", "later-leaf-plus", "leaf-underscore", "later-leaf-underscore", "leaf-arabic-indic",
+        "later-leaf-arabic-indic", "center-superscript", "leaf-superscript", "later-leaf-superscript",
+        "later-leaf-bare-minus", "leaf-negative", "later-leaf-negative", "plus-after-out-of-range",
+        "negative-after-out-of-range"])
 def test_parse_accepts_only_ascii_integers(body, problem):
     with pytest.raises(ParseError) as exc:
         parse("decomposition v1\n" + body)
     assert str(exc.value) == problem
+
+
+def test_parse_reads_minus_zero_as_zero():
+    d = parse("decomposition v1\nn 4\nk 2\nforest\nstar 1 : -0\nstar 2 : 3 -0\nforest\nstar -0 : 3\n").decomposition
+    assert [(s.center, s.leaves) for f in d.forests for s in f.stars] == [(1, (0,)), (2, (3, 0)), (0, (3,))]
+
+
+@pytest.mark.parametrize("star, vertex", [
+    ("9 : 7 1", 9),  # the center comes first
+    ("0 : 1 7 9", 7),
+    ("1 : 2 3 6 5", 6),
+    ("4 : 0", 4),
+])
+def test_parse_reports_first_out_of_range_vertex(star, vertex):
+    with pytest.raises(ParseError) as exc:
+        parse(f"decomposition v1\nn 4\nk 2\nforest\nstar {star}\n")
+    assert str(exc.value) == f"line 5: vertex {vertex} out of range for n=4"
 
 
 # a second single-valued header line or meta key would otherwise win silently
@@ -176,6 +218,25 @@ def test_export_dot_k16():
     assert 'label="A0(0)"' in text
 
 
+# sha256 of export_dot and of the concatenated export_dot_per_forest output
+@pytest.mark.parametrize("golden, dot, per_forest", [
+    ("bds_t4.sfd", "ec62f7eb78f38e159a910266ada6d8ccc0ac8eb94278daa10f3119237b725f00",
+     "1cad8e3331c65f5d6b30d509e800d7caf332fb8cd76910b45d1be4baad55b7d2"),
+    ("f2_n8.sfd", "3b127ab2ac7d1a5bea801146ac1d9c04401c7a3b9ee13f36e7c600cd260742f9",
+     "814465c4efdbbaa587d40f1593191b2fc939e62daab53806f350fba4e07ff90b"),
+    ("k16.sfd", "1f45e20b392356b31a799a004188e3a8c281886e2ebd450097ce91ec72043ba3",
+     "1bd240ae7c5fb2e7f141f5fc8a7076c67ab73a0c4fb4ba6bac7bd7271f32a1a0"),
+    ("k27.sfd", "3a8dcce70ec694ad5b91c1cef6614e2f08584c60d78fbb8af4d8b4c0651bc342",
+     "d216569daee622598b1458610dd40beb912340bac0b8920ecd9db6b168c1eba7"),
+    ("k4gen_m2.sfd", "d3527cf38d2a34c41543cb8b828bf6d6790e735b47837c859a9e66e42a500f87",
+     "34427b8e59e6d64e261b1c7c7cb17385ba9c165e37e426dfe0f9cdec76bd6b93"),
+])
+def test_export_dot_bytes_pinned(golden, dot, per_forest):
+    d = parse((GOLDEN / golden).read_text()).decomposition
+    assert hashlib.sha256(export_dot(d).encode()).hexdigest() == dot
+    assert hashlib.sha256("".join(export_dot_per_forest(d)).encode()).hexdigest() == per_forest
+
+
 def test_export_dot_single_star_forest():
     d = parse("decomposition v1\nn 6\nk 1\nforest\nstar 2 : 0 5\n").decomposition
     graphs = export_dot_per_forest(d)
@@ -186,6 +247,61 @@ def test_export_dot_single_star_forest():
 
 def test_export_dot_per_forest_k27():
     assert len(export_dot_per_forest(k27().decomposition)) == 15
+
+
+def _small_file(**fields) -> DecompositionFile:
+    d = parse("decomposition v1\nn 3\nk 1\nforest\nstar 0 : 1 2\nforest\nstar 1 : 2\n").decomposition
+    return DecompositionFile(d, **fields)
+
+
+# each of these once read back changed, or failed to parse at all
+@pytest.mark.parametrize("fields", [
+    dict(family="x "),
+    dict(family=" x"),
+    dict(family=" "),
+    dict(family=""),
+    dict(family="a\nb"),
+    dict(family="a\x0cb"),
+    dict(family="a\x85b"),
+    dict(family="a\u2028b"),
+    dict(provenance=("a\nb", None)),
+    dict(provenance=("a\x0cb", None)),
+    dict(provenance=("a\u2028b", None)),
+    dict(provenance=("a\x85b", None)),
+    dict(provenance=("", None)),
+    dict(provenance=("x", "y\t")),
+    dict(meta={"k y": "v"}),
+    dict(meta={"k\ty": "v"}),
+    dict(meta={"": "v"}),
+    dict(meta={"k": ""}),
+    dict(meta={"k": " v"}),
+    dict(meta={"k": "v\rw"}),
+], ids=["family-trailing-space", "family-leading-space", "family-blank", "family-empty", "family-newline",
+        "family-formfeed", "family-nel", "family-line-separator", "forest-newline", "forest-formfeed",
+        "forest-line-separator", "forest-nel", "forest-empty", "forest-trailing-tab", "meta-key-space",
+        "meta-key-tab", "meta-key-empty", "meta-value-empty", "meta-value-leading-space", "meta-value-cr"])
+def test_serialize_rejects_header_text_that_does_not_round_trip(fields):
+    with pytest.raises(DecompositionError):
+        serialize(_small_file(**fields))
+
+
+def test_serialize_keeps_inner_whitespace_in_header_text():
+    f = _small_file(family="a  b\tc", provenance=("X(0, 0)", None), meta={"k:\u00e9": "v  w\tz"})
+    assert parse(serialize(f)) == f  # meta takes part in ==
+
+
+# every family's builder output serializes and reads back as itself
+SMALL_ARGS = {
+    "bds": (4,), "f2": (8,), "k27": (), "f3": (27,), "k16": (), "k4gen": (2,), "conjecture": (12, 3),
+    "blowup": (parse((GOLDEN / "f2_n8.sfd").read_text()), 2),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SMALL_ARGS))
+def test_every_builder_output_serializes(family):
+    assert set(SMALL_ARGS) == set(construct.FAMILIES)
+    out = getattr(construct, construct.FAMILIES[family].builder)(*SMALL_ARGS[family])
+    roundtrip(out)
 
 
 def test_serialize_rejects_mismatched_provenance():
