@@ -43,9 +43,11 @@ def lb_star_forest(n: int) -> int:
 def lb_bds(n: int, k: int) -> int | None:
     """n/2 + 2 for even n > 2k, from uniqueness of the (n/2+1)-forest decomposition.
 
-    That unique decomposition contains an (n/2)-star forest, which is not a
-    k-star-forest when n > 2k.  Uniqueness fails on K_4 (the 3-star staircase
-    is not a broken double star), so the bound is quoted only from n = 6 up.
+    That unique decomposition, the broken double star, contains an (n/2)-star
+    forest, which is not a k-star-forest when n > 2k.  Uniqueness fails on
+    K_4: besides its 1-factorization, the broken double star there, the
+    3-star staircase decomposes it, and ``verify.is_broken_double_star``
+    rejects the staircase.  So the bound is quoted only from n = 6 up.
     Returns None outside the hypotheses.
     """
     if n % 2 == 1 or n <= 2 * k or n < 6:
@@ -114,11 +116,11 @@ class BoundReport:
     conjecture_refuted_here: bool
 
 
-def bound_report(n: int, k: int, use_search: bool = False, budget=None) -> BoundReport:
+def bound_report(n: int, k: int, budget=None) -> BoundReport:
     """Aggregate the proven bounds for (n, k) and compare with the conjecture.
 
-    With ``use_search`` the exhaustive oracle contributes on both sides; a
-    blown budget only downgrades the search contribution, never the report.
+    Given a ``SearchBudget``, the exhaustive oracle contributes on both sides;
+    a blown budget only downgrades the search contribution, never the report.
     """
     if n < 1 or k < 1 or n < k:
         raise PreconditionError("needs n >= k >= 1")
@@ -126,7 +128,7 @@ def bound_report(n: int, k: int, use_search: bool = False, budget=None) -> Bound
     ups = [(globals()[fam.builder](*args).forest_count, f"construction:{name}")  # validated on build
            for name, fam in FAMILIES.items() if fam.upper and (args := fam.upper(n, k))]
 
-    if use_search:
+    if budget is not None:
         from .search import SearchStatus, f_exact  # deferred: search depends on this module
 
         res = f_exact(n, k, budget)
@@ -134,9 +136,7 @@ def bound_report(n: int, k: int, use_search: bool = False, budget=None) -> Bound
             if res.value is None:
                 raise AssertionError(f"search reported F_{k}({n}) found without a value")
             ups.append((res.value, "search"))
-            if res.value > lower:
-                lower, lower_source = res.value, "search"
-        elif res.interval[0] > lower:
+        if res.interval[0] > lower:  # FOUND's interval is (value, value)
             lower, lower_source = res.interval[0], "search"
 
     upper, upper_source = min(ups, key=lambda c: c[0]) if ups else (None, None)

@@ -218,7 +218,7 @@ def cmd_analyze(args) -> int:
     print(f"valid: {'yes' if report.ok else 'no'}")
     for fi, e in enumerate(rh.hyperedges):
         label = (f.provenance[fi] if f.provenance else None) or f"forest {fi}"
-        members = ", ".join(d.labels.label(v) if d.labels else str(v) for v in sorted(e))
+        members = ", ".join(map(d.label, sorted(e)))
         print(f"hyperedge {fi} [{label}]: {{{members}}}")
     pstr = " ".join(f"{j}->{c}" for j, c in prof.p.items())
     print(f"degree profile: m={prof.m} r={prof.r} degree_sum={prof.degree_sum} "
@@ -265,8 +265,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    budget = _budget(args) if args.with_search else None
-    report = bound_report(args.n, args.k, use_search=args.with_search, budget=budget)
+    report = bound_report(args.n, args.k, _budget(args) if args.with_search else None)
     if args.json:
         print(json.dumps(
             {
@@ -333,8 +332,8 @@ _COMMANDS = {
         ("--n", dict(type=int, required=True)),
         ("--k", dict(type=int, required=True)),
         ("--max-forests", dict(type=int, default=None, help="decide existence for this forest budget instead of minimizing")),
-        ("--max-nodes", dict(type=int, default=50_000_000)),
-        ("--timeout", dict(type=float, default=600.0)),
+        ("--max-nodes", dict(type=int, default=SearchBudget.max_nodes)),
+        ("--timeout", dict(type=float, default=SearchBudget.wall_time)),
         ("--cert", dict(help="write the found certificate here")),
         ("--json", dict(action="store_true")),
     )),

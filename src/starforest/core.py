@@ -179,5 +179,9 @@ class Decomposition:
     def forest_count(self) -> int:
         return len(self.forests)
 
+    def label(self, v: int) -> str:
+        """Vertex ``v`` under the label scheme, or ``str(v)`` when there is none."""
+        return self.labels.label(v) if self.labels is not None else str(v)
+
     def total_edge_slots(self) -> int:
         return sum(f.edge_count() for f in self.forests)

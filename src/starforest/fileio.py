@@ -226,15 +226,11 @@ _PALETTE = (
 )
 
 
-def _label(d: Decomposition, v: int) -> str:
-    return d.labels.label(v) if d.labels is not None else str(v)
-
-
 def export_dot(d: Decomposition) -> str:
     """One undirected graph with edges colored by forest.  Deterministic bytes."""
     out = ["graph decomposition {"]
     for v in range(d.n):
-        out.append(f'  {v} [label="{_label(d, v)}"];')
+        out.append(f'  {v} [label="{d.label(v)}"];')
     for fi, forest in enumerate(d.forests):
         tail = f' [color="{_PALETTE[fi % len(_PALETTE)]}"];'
         for star in forest.stars:  # one string per star, one line per leaf
@@ -251,7 +247,7 @@ def export_dot_per_forest(d: Decomposition) -> list[str]:
         out = [f"graph forest_{fi} {{"]
         touched = sorted({v for s in forest.stars for v in (s.center, *s.leaves)})
         for v in touched:
-            out.append(f'  {v} [label="{_label(d, v)}"];')
+            out.append(f'  {v} [label="{d.label(v)}"];')
         for star in forest.stars:
             head = f"  {star.center} -- "
             out.append(head + f";\n{head}".join([str(v) for v in star.leaves]) + ";")

@@ -24,8 +24,6 @@ from .core import (
     Edge,
     NotApplicableError,
     PreconditionError,
-    StarForest,
-    make_edge,
 )
 
 
@@ -327,11 +325,23 @@ def check_degree1_placement(d: Decomposition, *, report: ValidationReport | None
 
 
 def is_broken_double_star(d: Decomposition, *, report: ValidationReport | None = None) -> bool:
-    """Recognize the unique (t+1)-forest decomposition of K_{2t}.
+    """Recognize the broken double star, the (t+1)-forest decomposition of K_{2t}.
 
-    Shape: t spanning two-star forests whose centers pair antipodal vertices,
-    plus one forest consisting of the antipodal perfect matching.  Recognition
-    reconstructs the cyclic vertex order instead of trying all relabelings.
+    For t >= 3 it is t spanning two-star forests of t-1 leaves per star,
+    whose centers are antipodal in a cyclic order, plus the antipodal perfect
+    matching as one forest of t one-leaf stars.  It is unique, and recognition
+    rebuilds the cyclic order instead of trying relabelings.  For t = 2 every
+    star is one edge and has no center: bds(2) is the 1-factorization of K_4,
+    accepted in any orientation.  The 3-star staircase also decomposes K_4
+    and is rejected, so uniqueness fails there (see ``bounds.lb_bds``).
+
+    Only what validity leaves open is checked.  A vertex that is a center c
+    times in the two-star forests has degree 1 + t + c(t-2), which must be
+    2t-1, so every vertex is a center exactly once when t >= 3.  Two vertices
+    with the same closed arc L(u) + {u} would cover an edge twice, so the
+    arc names its vertex.  The walk's successor of v is the u whose closed
+    arc is L(v) + {partner(v)}; u lies in L(v), since L(v) and
+    L(partner(v)) are disjoint and not empty.
 
     ``report``, if given, must be ``validate_decomposition(d)``; a caller that
     already holds it saves a second validation.  Without it, ``d`` is
@@ -349,65 +359,23 @@ def is_broken_double_star(d: Decomposition, *, report: ValidationReport | None =
         report = validate_decomposition(d)
     if not report.ok:
         return False
-
-    for mi, matching_forest in enumerate(d.forests):
-        if _matches_with_matching_forest(d, t, mi, matching_forest):
-            return True
-    return False
-
-
-def _matches_with_matching_forest(d: Decomposition, t: int, mi: int, mf: StarForest) -> bool:
-    if len(mf.stars) != t or any(len(s.leaves) != 1 for s in mf.stars):
+    others = [f for f in d.forests if len(f.stars) != 2]
+    if t == 2:
+        return not others
+    if len(others) != 1 or len(others[0].stars) != t:  # t stars on 2t vertices: one leaf each
         return False
-    partner: dict[int, int] = {}
-    for s in mf.stars:
-        partner[s.center] = s.leaves[0]
-        partner[s.leaves[0]] = s.center
-    if len(partner) != 2 * t:
-        return False
-    pairs = {make_edge(s.center, s.leaves[0]) for s in mf.stars}
-
-    # every other forest: two spanning stars centered on one antipodal pair
-    leaf_sets: dict[int, frozenset[int]] = {}
-    used_pairs: set[Edge] = set()
-    for fi, forest in enumerate(d.forests):
-        if fi == mi:
-            continue
-        if len(forest.stars) != 2:
+    partner = {s.center: s.leaves[0] for s in others[0].stars}
+    partner |= {v: u for u, v in partner.items()}
+    arc: dict[int, frozenset[int]] = {}  # center v -> L(v)
+    for a, b in (f.stars for f in d.forests if len(f.stars) == 2):
+        if partner[a.center] != b.center or len(a.leaves) != t - 1 or len(b.leaves) != t - 1:
             return False
-        a, b = forest.stars
-        if make_edge(a.center, b.center) not in pairs:
+        arc[a.center], arc[b.center] = frozenset(a.leaves), frozenset(b.leaves)
+    by_closed = {leaves | {u}: u for u, leaves in arc.items()}
+    seq, v = [], 0
+    for _ in range(2 * t):
+        seq.append(v)
+        v = by_closed.get(arc[v] | {partner[v]})
+        if v is None:
             return False
-        used_pairs.add(make_edge(a.center, b.center))
-        for s in forest.stars:
-            if len(s.leaves) != t - 1 or partner[s.center] in s.leaves:
-                return False
-            if s.center in leaf_sets:
-                return False
-            leaf_sets[s.center] = frozenset(s.leaves)
-    if used_pairs != pairs or len(leaf_sets) != 2 * t:
-        return False
-
-    # successor walk: the next vertex is the u in L(v) with
-    # L(u) = (L(v) - {u}) + {partner(v)}.  As u is not in L(u) and partner(v)
-    # is not in L(v), that reads L(u) + {u} = L(v) + {partner(v)}: one lookup
-    by_closed: dict[frozenset[int], list[int]] = {}
-    for u, leaves in leaf_sets.items():
-        by_closed.setdefault(leaves | {u}, []).append(u)
-
-    def successor(v: int) -> int | None:
-        hits = [u for u in by_closed.get(leaf_sets[v] | {partner[v]}, ()) if u in leaf_sets[v]]
-        return hits[0] if len(hits) == 1 else None
-
-    start = 0
-    seq = [start]
-    v = start
-    for _ in range(2 * t - 1):
-        nxt = successor(v)
-        if nxt is None:
-            return False
-        seq.append(nxt)
-        v = nxt
-    if successor(v) != start or len(set(seq)) != 2 * t:
-        return False
-    return all(partner[seq[i]] == seq[(i + t) % (2 * t)] for i in range(2 * t))
+    return v == 0 and len(set(seq)) == 2 * t and list(map(partner.get, seq[:t])) == seq[t:]  # antipodal

@@ -89,9 +89,16 @@ def test_bound_report_quotes_bds_where_no_other_family_reaches_it():
 
 
 def test_bound_report_with_search():
-    r = bound_report(5, 2, use_search=True)
+    # a budget alone turns the search on
+    r = bound_report(5, 2, budget=SearchBudget())
     assert r.lower == r.upper == 4
     assert r.upper_source == "search"
+
+
+def test_bound_report_search_out_of_budget_raises_only_the_lower_bound():
+    # m=6 exhausts in 235,528 nodes, then m=7 runs out of budget
+    r = bound_report(9, 1, budget=SearchBudget(max_nodes=300_000))
+    assert (r.lower, r.lower_source, r.upper, r.upper_source) == (7, "search", None, None)
 
 
 def test_bound_report_construction_sizes_always_validated():
@@ -115,7 +122,7 @@ def test_bound_report_rejects_valueless_search_result_under_optimize(run_optimiz
         "from starforest import bound_report, search\n"
         "real = search.f_exact\n"
         "search.f_exact = lambda n, k, budget=None: dataclasses.replace(real(n, k, budget), value=None)\n"
-        "bound_report(4, 2, use_search=True)\n"
+        "bound_report(4, 2, budget=search.SearchBudget())\n"
     )
     assert proc.returncode != 0
     assert "AssertionError: search reported F_2(4) found without a value" in proc.stderr
@@ -148,5 +155,5 @@ def test_bound_report_with_search_pinned():
     h = hashlib.sha256()
     for n in range(1, 8):
         for k in range(1, n + 1):
-            h.update(repr(bound_report(n, k, use_search=True, budget=SearchBudget(max_nodes=20_000))).encode())
+            h.update(repr(bound_report(n, k, budget=SearchBudget(max_nodes=20_000))).encode())
     assert h.hexdigest() == "2d67abac9827cd953c5136d836844b03467b465d6cae7bc1ea85fe9bc11621e5"

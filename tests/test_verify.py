@@ -1,8 +1,10 @@
 import dataclasses
 import io
 import json
+import random
+from collections import Counter
 from contextlib import redirect_stdout
-from itertools import islice
+from itertools import chain, islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -285,14 +287,70 @@ def test_broken_double_star_recognizer_accepts_construction():
         assert is_broken_double_star(broken_double_star(t).decomposition)
 
 
+def relabeled(d: Decomposition, rng: random.Random) -> Decomposition:
+    """``d`` under a random vertex permutation, with forests, stars and leaves
+    shuffled and each one-leaf star's center and leaf swapped at random."""
+    perm = list(range(d.n))
+    rng.shuffle(perm)
+    forests = []
+    for f in d.forests:
+        stars = []
+        for s in f.stars:
+            ends = [perm[s.center], *(perm[v] for v in s.leaves)]
+            if len(ends) == 2 and rng.random() < 0.5:
+                ends.reverse()
+            leaves = ends[1:]
+            rng.shuffle(leaves)
+            stars.append(Star(ends[0], tuple(leaves)))
+        rng.shuffle(stars)
+        forests.append(StarForest(tuple(stars)))
+    rng.shuffle(forests)
+    return dataclasses.replace(d, forests=tuple(forests))
+
+
 def test_broken_double_star_recognizer_survives_relabeling():
-    d = broken_double_star(3).decomposition
-    perm = [3, 5, 0, 4, 1, 2]
-    forests = tuple(
-        StarForest(tuple(Star(perm[s.center], tuple(perm[v] for v in s.leaves)) for s in f.stars))
-        for f in d.forests
-    )
-    assert is_broken_double_star(dataclasses.replace(d, forests=forests))
+    rng = random.Random(19)
+    for t in range(3, 41):
+        d = broken_double_star(t).decomposition
+        for _ in range(20):
+            assert is_broken_double_star(relabeled(d, rng)), t
+
+
+def k4_three_forest_decompositions():
+    """Every valid 3-forest decomposition of K_4: each edge goes to one of 3
+    forests, each forest must be a nonempty star forest (every edge has an end
+    of degree 1), and each one-edge star is written in both orientations."""
+    edges = complete_graph_edges(4)
+    for homes in product(range(3), repeat=len(edges)):
+        per_forest = []
+        for fi in range(3):
+            es = [e for e, h in zip(edges, homes) if h == fi]
+            deg = Counter(chain.from_iterable(es))
+            if not es or any(deg[u] > 1 and deg[v] > 1 for u, v in es):
+                break
+            big = [Star(c, tuple(v for e in es if c in e for v in e if v != c)) for c in sorted(deg) if deg[c] > 1]
+            single = [e for e in es if deg[e[0]] == deg[e[1]] == 1]
+            per_forest.append([big + [Star(c, (v,)) for c, v in ends]
+                               for ends in product(*((e, e[::-1]) for e in single))])
+        else:
+            for stars in product(*per_forest):
+                yield Decomposition(n=4, k=2, forests=tuple(StarForest(tuple(s)) for s in stars))
+
+
+def test_broken_double_star_on_k4_is_the_one_factorization_in_any_orientation():
+    # a one-edge star has no center, so which end a file names first is no evidence
+    decompositions = list(k4_three_forest_decompositions())
+    assert len(decompositions) == 720
+    assert all(validate_decomposition(d).ok for d in decompositions)
+    accepted = [d for d in decompositions if is_broken_double_star(d)]
+    assert accepted == [d for d in decompositions if all(len(f.stars) == 2 for f in d.forests)]
+    assert len(accepted) == 384
+
+
+def test_broken_double_star_rejects_the_k4_staircase():
+    # K_4 has a second 3-forest decomposition, so lb_bds is quoted only from n = 6
+    assert validate_decomposition(staircase(4)).ok
+    assert not is_broken_double_star(staircase(4))
 
 
 def test_broken_double_star_recognizer_rejects_k16():
