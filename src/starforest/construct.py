@@ -47,7 +47,7 @@ def _finalize(
     labels: LabelScheme | None = None,
     expect_exact: bool = False,
 ) -> ConstructionOutput:
-    claimed: set[Edge] = set()
+    claimed: set[int] = set()  # edge (u, v), u < v, as the key u*n + v; validation below checks the ids
     duplicates: set[Edge] = set()
     forests: list[StarForest] = []
     slots: list[int] = []
@@ -57,13 +57,14 @@ def _finalize(
         for center, leaves in raw:
             kept: list[int] = []
             nslots += len(leaves)
+            cn = center * n
             for leaf in leaves:
                 # a self-loop keeps its leaf, so Star rejects it below
-                e = (center, leaf) if center < leaf else (leaf, center)
-                if e in claimed:
-                    duplicates.add(e)
+                key = cn + leaf if center < leaf else leaf * n + center
+                if key in claimed:
+                    duplicates.add((center, leaf) if center < leaf else (leaf, center))
                 else:
-                    claimed.add(e)
+                    claimed.add(key)
                     kept.append(leaf)
             if kept:
                 stars.append(Star(center, tuple(kept)))

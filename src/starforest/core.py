@@ -58,7 +58,13 @@ class Star:
     leaves: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "leaves", tuple(self.leaves))
+        leaves = self.leaves
+        if type(leaves) is not tuple:
+            leaves = tuple(leaves)
+            object.__setattr__(self, "leaves", leaves)
+        # the common case in one test: a leaf, no negative id and no vertex twice
+        if leaves and self.center >= 0 and min(leaves) >= 0 and len({self.center, *leaves}) == len(leaves) + 1:
+            return
         if self.center < 0 or (self.leaves and min(self.leaves) < 0):
             raise MalformedStarError(f"negative vertex id in star centered at {self.center}")
         if not self.leaves:

@@ -21,6 +21,15 @@ for a ``DecompositionFile`` f, including forest and leaf order, forest names
 and metadata: ``serialize`` rejects a family, forest name, meta key or meta
 value that is empty, has leading or trailing whitespace or a line break (what
 ``str.splitlines`` splits on), and a meta key with any whitespace.
+
+A star line's vertex tokens are read through a per-file table from token to
+id.  A token not yet in it is entered when it is ASCII digits naming a vertex
+below n, so a decomposition, whose vertices recur on line after line, checks
+each spelling once.  A line with any other token is re-read token by token,
+so an error and its line number do not depend on the table.  The table holds
+only tokens that appear in the input, never anything of size n.  A
+``duplicates`` line is checked at once, and token by token only to word an
+error.
 """
 
 from __future__ import annotations
@@ -41,6 +50,7 @@ from .core import (
 FORMAT_VERSION = 1
 _HEADER = f"decomposition v{FORMAT_VERSION}"
 _ONCE = frozenset({"n", "k", "labels", "family", "duplicates"})  # header lines that may not repeat
+_NO_DIGITS = str.maketrans("", "", "0123456789")
 
 
 class ParseError(DecompositionError):
@@ -103,6 +113,56 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
     return value
 
 
+class _VertexIds(dict[str, int]):
+    """Vertex token -> id, for the tokens of 0..n-1 in ASCII digits, entered as a star line reads them.
+
+    A token of any other form raises ``KeyError`` and is not entered, so its
+    line is re-read by ``_star_vertices``, which words the error.
+    """
+
+    def __init__(self, n: int) -> None:
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, token: str) -> int:
+        if not (token.isdigit() and token.isascii()) or (v := int(token)) >= self.n:
+            raise KeyError(token)
+        self[token] = v
+        return v
+
+
+def _star_vertices(tokens: list[str], lineno: int, n: int) -> tuple[int, tuple[int, ...]]:
+    """The center and leaves of a star line, checked token by token as integers in 0..n-1."""
+    center = _parse_int(tokens[1], lineno, "star center")  # also reads '-0' as 0
+    leaves = tuple(_parse_int(tok, lineno, "leaf") for tok in tokens[3:])
+    if center >= n or max(leaves) >= n:
+        v = next(v for v in (center, *leaves) if v >= n)  # the first in line order
+        raise ParseError(f"line {lineno}: vertex {v} out of range for n={n}")
+    return center, leaves
+
+
+def _duplicate_edges(tokens: list[str], lineno: int) -> list[Edge]:
+    """The edges of a ``duplicates`` line, each ``u-v`` with u < v."""
+    text, m = " ".join(tokens[1:]), len(tokens) - 1
+    ends = text.replace("-", " ").split()
+    # each token is one dash with ASCII digits on both sides of it, and nothing else
+    if text.translate(_NO_DIGITS) == " ".join("-" * m) and len(ends) == 2 * m:
+        edges = list(zip(map(int, ends[::2]), map(int, ends[1::2])))
+        if all(u < v for u, v in edges):
+            return edges
+    edges = []  # read token by token for the error's wording
+    for token in tokens[1:]:
+        parts = token.split("-")
+        if len(parts) != 2:
+            raise ParseError(f"line {lineno}: bad edge {token!r}, expected u-v")
+        u = _parse_int(parts[0], lineno, "duplicate edge endpoint")
+        v = _parse_int(parts[1], lineno, "duplicate edge endpoint")
+        if u >= v:
+            raise ParseError(f"line {lineno}: edge {token!r} must satisfy u < v")
+        edges.append((u, v))
+    return edges
+
+
 def parse(text: str) -> DecompositionFile:
     lines = text.splitlines()
     if not lines or lines[0].strip() != _HEADER:
@@ -118,6 +178,7 @@ def parse(text: str) -> DecompositionFile:
     names: list[str | None] = []
     seen: set[str] = set()
     dup_lineno = 0
+    ids = _VertexIds(0)  # set anew once n is read; no star line comes before it
 
     for lineno, rawline in enumerate(lines[1:], start=2):
         line = rawline.strip()
@@ -132,15 +193,10 @@ def parse(text: str) -> DecompositionFile:
                 raise ParseError(f"line {lineno}: star before n was given")
             if len(tokens) < 4 or tokens[2] != ":":
                 raise ParseError(f"line {lineno}: expected 'star <center> : <leaf> ...'")
-            digits = tokens[1] + "".join(tokens[3:])  # every token at once; the center too
-            if digits.isdigit() and digits.isascii():
-                center, leaves = int(tokens[1]), tuple(map(int, tokens[3:]))
-            else:  # a sign, '-0' or a bad token: read token by token for the error's wording
-                center = _parse_int(tokens[1], lineno, "star center")
-                leaves = tuple(_parse_int(tok, lineno, "leaf") for tok in tokens[3:])
-            if center >= n or max(leaves) >= n:
-                v = next(v for v in (center, *leaves) if v >= n)  # the first in line order
-                raise ParseError(f"line {lineno}: vertex {v} out of range for n={n}")
+            try:
+                center, leaves = ids[tokens[1]], tuple(map(ids.__getitem__, tokens[3:]))
+            except KeyError:  # a sign, '-0', a bad token or one out of range
+                center, leaves = _star_vertices(tokens, lineno, n)
             try:
                 forests[-1].append(Star(center, leaves))
             except MalformedStarError as exc:
@@ -154,6 +210,7 @@ def parse(text: str) -> DecompositionFile:
             n = _parse_int(tokens[1], lineno, "n") if len(tokens) == 2 else None
             if n is None or n < 1:
                 raise ParseError(f"line {lineno}: expected 'n <positive integer>'")
+            ids = _VertexIds(n)
         elif directive == "k":
             k = _parse_int(tokens[1], lineno, "k") if len(tokens) == 2 else None
             if k is None or k < 1:
@@ -178,15 +235,7 @@ def parse(text: str) -> DecompositionFile:
             meta[tokens[1]] = line.split(None, 2)[2]
         elif directive == "duplicates":
             dup_lineno = lineno
-            for token in tokens[1:]:
-                parts = token.split("-")
-                if len(parts) != 2:
-                    raise ParseError(f"line {lineno}: bad edge {token!r}, expected u-v")
-                u = _parse_int(parts[0], lineno, "duplicate edge endpoint")
-                v = _parse_int(parts[1], lineno, "duplicate edge endpoint")
-                if u >= v:
-                    raise ParseError(f"line {lineno}: edge {token!r} must satisfy u < v")
-                duplicates.append((u, v))
+            duplicates = _duplicate_edges(tokens, lineno)
         elif directive == "forest":
             forests.append([])
             names.append(line.split(None, 1)[1] if len(tokens) > 1 else None)

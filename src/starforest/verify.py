@@ -32,20 +32,23 @@ class MissingEdges:
 
     Lazy: the object holds only the covered in-range edges, indexed by their
     lower endpoint (``covered[u]`` is the set of covered v, u < v < n), so its
-    memory follows the input and not n².  ``size`` is the exact count, found
+    memory follows the input and not n².  ``covered=None`` stands for a
+    complete cover, as a valid claim has: the object holds no edges, its size
+    is 0 and it iterates nothing.  ``size`` is the exact count, found
     by arithmetic; ``len()`` is the same, but Python raises ``OverflowError``
     past ``sys.maxsize``, so read ``size`` where n may be that large.
     ``bool()`` tells whether any edge is missing.  Iteration and ``rows()``
     walk the rows on demand, so ``islice(missing, 20)`` costs 20 edges even for
-    an empty claim with a huge header; there is no indexing.
+    an empty claim with a huge header; there is no indexing.  Two objects are
+    equal when they miss the same edges of the same K_n, whichever form each has.
     """
 
     __slots__ = ("n", "size", "_covered")
 
-    def __init__(self, n: int, covered: dict[int, set[int]]) -> None:
+    def __init__(self, n: int, covered: dict[int, set[int]] | None) -> None:
         self.n = n
         self._covered = covered
-        self.size = n * (n - 1) // 2 - sum(map(len, covered.values()))
+        self.size = 0 if covered is None else n * (n - 1) // 2 - sum(map(len, covered.values()))
 
     def rows(self) -> Iterator[tuple[int, Iterable[int]]]:
         """Each row u with a missing edge, with the missing upper ends v > u in order.
@@ -53,6 +56,8 @@ class MissingEdges:
         A row with no covered edge is a ``range``; a full row is skipped.
         """
         n, covered = self.n, self._covered
+        if not self.size:
+            return
         for u in range(n - 1):
             row = covered.get(u)
             if row is None:
@@ -73,7 +78,7 @@ class MissingEdges:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MissingEdges):
             return NotImplemented
-        return self.n == other.n and self._covered == other._covered
+        return self.n == other.n and (self.size == other.size == 0 or self._covered == other._covered)
 
     def __hash__(self) -> int:
         return hash((self.n, self.size))
@@ -106,8 +111,48 @@ class ValidationReport:
     coverage: CoverageReport
 
 
+def _covers_once(d: Decomposition) -> bool:
+    """Whether every forest has at most k disjoint stars inside K_n and no edge repeats.
+
+    With n(n-1)/2 slots that is an exact cover of E(K_n).  ``seen.update``
+    takes a star's leaves at once.  Each edge goes into one set as the key
+    ``u*n + v`` (u < v), which names a single edge once both ends are in
+    range (``Star`` rules out negative ids).  The walk stops at the first
+    forest that breaks a rule or repeats an edge.
+    """
+    n, k = d.n, d.k
+    covered: set[int] = set()
+    slots = 0
+    for forest in d.forests:
+        stars = forest.stars
+        if len(stars) > k:
+            return False
+        seen: set[int] = set()
+        count = len(stars)  # vertex occurrences in the forest: its centers, then its leaves
+        for star in stars:
+            c, leaves = star.center, star.leaves
+            seen.add(c)
+            seen.update(leaves)
+            count += len(leaves)
+            cn = c * n
+            for v in leaves:
+                covered.add(cn + v if c < v else v * n + c)
+        slots += count - len(stars)
+        if len(seen) != count or (seen and max(seen) >= n) or len(covered) != slots:
+            return False
+    return True
+
+
 def validate_decomposition(d: Decomposition) -> ValidationReport:
-    """Full check: structure and exact single coverage of E(K_n), in one pass.
+    """Full check: structure and exact single coverage of E(K_n).
+
+    A claim whose slot total (``d.total_edge_slots()``) is n(n-1)/2 first
+    takes a bulk pass, ``_covers_once``: when its stars are disjoint per
+    forest, in range, within the k bound and cover no edge twice, those slots
+    are exactly the edges of K_n, and the report is valid with a complete
+    ``MissingEdges``.  Any other claim, and one that fails the bulk pass,
+    falls through to the walk below, which visits every vertex and leaf and
+    names each fault, so its report is the same whichever path ran.
 
     Structural violations (overlapping stars, out-of-range ids) are reported
     as malformed, separately from missing/duplicated coverage, so downstream
@@ -115,6 +160,10 @@ def validate_decomposition(d: Decomposition) -> ValidationReport:
     outside K_n needs an out-of-range endpoint, so it is always malformed.
     """
     n = d.n
+    total = n * (n - 1) // 2
+    if d.total_edge_slots() == total and _covers_once(d):
+        coverage = CoverageReport(total_edges=total, missing=MissingEdges(n, None), duplicated=())
+        return ValidationReport(ok=True, malformed=(), k_violations=(), coverage=coverage)
     malformed: list[str] = []
     rows: defaultdict[int, set[int]] = defaultdict(set)  # covered edges of K_n: lower end -> upper ends
     stray: defaultdict[int, set[int]] = defaultdict(set)  # the same for edges with an endpoint >= n
@@ -139,7 +188,7 @@ def validate_decomposition(d: Decomposition) -> ValidationReport:
 
     missing = MissingEdges(n, rows)
     duplicated = tuple(sorted((e, c + 1) for e, c in extra.items()))
-    coverage = CoverageReport(total_edges=n * (n - 1) // 2, missing=missing, duplicated=duplicated)
+    coverage = CoverageReport(total_edges=total, missing=missing, duplicated=duplicated)
     ok = not malformed and not k_violations and not missing and not duplicated
     return ValidationReport(ok=ok, malformed=tuple(malformed), k_violations=k_violations, coverage=coverage)
 

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -143,6 +144,72 @@ def test_parse_reports_first_out_of_range_vertex(star, vertex):
     with pytest.raises(ParseError) as exc:
         parse(f"decomposition v1\nn 4\nk 2\nforest\nstar {star}\n")
     assert str(exc.value) == f"line 5: vertex {vertex} out of range for n=4"
+
+
+def test_parse_reuses_read_tokens_with_their_values():
+    # '007' enters the token table under its own spelling; '-0' stays out and is re-read on each line
+    d = parse("decomposition v1\nn 8\nk 2\nforest\nstar -0 : 007 1\nstar 2 : 3\n"
+              "forest\nstar 007 : -0 3\nstar 1 : 2\n").decomposition
+    assert [(s.center, s.leaves) for f in d.forests for s in f.stars] == [(0, (7, 1)), (2, (3,)), (7, (0, 3)), (1, (2,))]
+
+
+@pytest.mark.parametrize("later, problem", [
+    ("star 1 : 2 +3", "line 7: leaf must be an integer, got '+3'"),
+    ("star 1 : 2 1_0", "line 7: leaf must be an integer, got '1_0'"),
+    ("star +1 : 2", "line 7: star center must be an integer, got '+1'"),
+    ("star 1 : -2", "line 7: leaf must be non-negative, got -2"),
+    ("star 1 : 2 \u0663", "line 7: leaf must be an integer, got '\u0663'"),
+    # out of range: the first such vertex in line order, though earlier tokens are known
+    ("star 1 : 2 9 8", "line 7: vertex 9 out of range for n=4"),
+    ("star 9 : 2 1", "line 7: vertex 9 out of range for n=4"),
+    ("star 1 : 0 2 3 4", "line 7: vertex 4 out of range for n=4"),
+    # known tokens, but the star itself is malformed
+    ("star 1 : 2 2", "line 7: star with center 1 repeats a leaf"),
+    ("star 1 : 2 1", "line 7: star with center 1 lists the center as a leaf"),
+], ids=["plus", "underscore", "center-plus", "negative", "arabic-indic", "out-of-range", "center-out-of-range",
+        "late-out-of-range", "repeated-leaf", "center-as-leaf"])
+def test_parse_errors_after_known_tokens(later, problem):
+    # every vertex token but the bad one was read on lines 5 and 6
+    with pytest.raises(ParseError) as exc:
+        parse(f"decomposition v1\nn 4\nk 2\nforest\nstar 1 : 2 3\nstar 0 : 1 2\n{later}\n")
+    assert str(exc.value) == problem
+
+
+def test_parse_huge_header_builds_nothing_of_size_n():
+    tracemalloc.start()
+    try:
+        f = parse("decomposition v1\nn 100000000000\nk 3\nforest\nstar 0 : 1 2\nstar 99999999999 : 3\n"
+                  "forest\nstar 1 : 99999999999 0\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [len(fo.stars) for fo in f.decomposition.forests] == [2, 1]
+    assert peak < 100_000
+
+
+@pytest.mark.parametrize("edges, read", [
+    ("0-1 2-3", ((0, 1), (2, 3))),
+    ("007-010 0-00001", ((7, 10), (0, 1))),
+    ("", ()),
+])
+def test_parse_reads_duplicate_edges(edges, read):
+    assert parse(f"decomposition v1\nn 12\nk 2\nduplicates {edges}\n").raw_duplicates == read
+
+
+@pytest.mark.parametrize("edges, problem", [
+    ("0-1 12 1-2-3", "line 4: bad edge '12', expected u-v"),  # one dash in all, but not one per edge
+    ("0--1", "line 4: bad edge '0--1', expected u-v"),
+    ("-0-1", "line 4: bad edge '-0-1', expected u-v"),
+    ("0-1 1-", "line 4: duplicate edge endpoint must be an integer, got ''"),
+    ("0-1 +1-2", "line 4: duplicate edge endpoint must be an integer, got '+1'"),
+    ("0-\u0663", "line 4: duplicate edge endpoint must be an integer, got '\u0663'"),
+    ("0-1 2-2", "line 4: edge '2-2' must satisfy u < v"),
+    ("0-1 0-99", "line 4: vertex 99 out of range for n=12"),
+], ids=["dash-count", "double-dash", "minus-zero", "empty-end", "plus", "arabic-indic", "equal-ends", "out-of-range"])
+def test_parse_duplicate_edge_errors(edges, problem):
+    with pytest.raises(ParseError) as exc:
+        parse(f"decomposition v1\nn 12\nk 2\nduplicates {edges}\n")
+    assert str(exc.value) == problem
 
 
 # a second single-valued header line or meta key would otherwise win silently

@@ -7,7 +7,7 @@ from contextlib import redirect_stdout
 from itertools import chain, islice, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from starforest import (
@@ -165,6 +165,114 @@ def partial_claims(draw):
 @given(partial_claims())
 def test_coverage_matches_oracle(d):
     assert_coverage_matches_oracle(d)
+
+
+def brute_structure(d: Decomposition) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """Malformed messages and k violations straight from their definitions, by list scans."""
+    malformed = []
+    for fi, f in enumerate(d.forests):
+        occurrences = [v for s in f.stars for v in (s.center, *s.leaves)]
+        for i, v in enumerate(occurrences):
+            if v >= d.n:
+                malformed.append(f"forest {fi}: vertex {v} out of range for n={d.n}")
+            if v in occurrences[:i]:
+                malformed.append(f"forest {fi}: vertex {v} appears in more than one star")
+    return tuple(malformed), tuple(fi for fi, f in enumerate(d.forests) if len(f.stars) > d.k)
+
+
+def assert_report_matches_oracle(d: Decomposition) -> None:
+    rep = validate_decomposition(d)
+    missing, duplicated = brute_coverage(d)
+    malformed, k_violations = brute_structure(d)
+    ok = not (missing or duplicated or malformed or k_violations)
+    assert (rep.ok, rep.malformed, rep.k_violations, rep.coverage.duplicated, tuple(rep.coverage.missing)) == (
+        ok, malformed, k_violations, duplicated, missing)
+    assert rep.coverage.missing.size == len(missing)
+
+
+# valid multi-star decompositions; a claim with n(n-1)/2 slots takes the bulk pass first
+VALID_CLAIMS = {
+    "staircase": lambda: staircase(7),
+    "k27": lambda: k27().decomposition,
+    **{f"bds{t}": (lambda t=t: broken_double_star(t).decomposition) for t in range(2, 6)},
+    **{f"f2_{n}": (lambda n=n: f2_construction(n).decomposition) for n in (4, 6, 8, 10)},
+}
+
+
+@st.composite
+def slot_preserving_mutants(draw):
+    """A valid claim with one change that keeps its slot total, so the bulk pass must catch it."""
+    d = VALID_CLAIMS[draw(st.sampled_from(sorted(VALID_CLAIMS)))]()
+    forests = [[(s.center, list(s.leaves)) for s in f.stars] for f in d.forests]
+    fi = draw(st.integers(0, len(forests) - 1))
+    si = draw(st.integers(0, len(forests[fi]) - 1))
+    c, leaves = forests[fi][si]
+    li = draw(st.integers(0, len(leaves) - 1))
+    kind = draw(st.sampled_from(["overlap", "repoint", "out-of-range", "over-k", "merge"]))
+    if kind == "overlap":  # the star trades a leaf for one of its vertices joining another star of the forest
+        others = [sj for sj in range(len(forests[fi])) if sj != si]
+        assume(others and len(leaves) >= 2)
+        del leaves[li]
+        forests[fi][draw(st.sampled_from(others))][1].append(draw(st.sampled_from([c, *leaves])))
+    elif kind == "repoint":  # one edge doubled, another missing
+        free = [w for w in range(d.n) if w != c and w not in leaves]
+        assume(free)
+        leaves[li] = draw(st.sampled_from(free))
+    elif kind == "out-of-range":
+        leaves[li] = draw(st.integers(d.n, d.n + 2))
+    elif kind == "over-k":  # the edge moves, as a star of its own, into another forest that already has k stars
+        full = [fj for fj, f in enumerate(forests) if fj != fi and len(f) >= d.k]
+        assume(full)
+        forests[draw(st.sampled_from(full))].append((c, [leaves.pop(li)]))
+    else:  # two forests become one: every edge once, but stars overlap or exceed k
+        assume(len(forests) >= 2)
+        forests[fi - 1] += forests.pop(fi)
+    stars = (tuple(Star(c, tuple(ls)) for c, ls in f if ls) for f in forests)
+    return dataclasses.replace(d, forests=tuple(map(StarForest, stars)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(slot_preserving_mutants())
+def test_bulk_pass_never_accepts_a_faulty_claim(d):
+    assert_report_matches_oracle(d)
+
+
+@pytest.mark.parametrize("name", sorted(VALID_CLAIMS))
+def test_bulk_pass_accepts_valid_claims(name):
+    d = VALID_CLAIMS[name]()
+    assert d.total_edge_slots() == d.n * (d.n - 1) // 2
+    assert_report_matches_oracle(d)
+
+
+@pytest.mark.parametrize("d", [
+    Decomposition(n=1, k=1, forests=(StarForest((Star(0, (1,)),)),)),  # a stray star at n=1
+    Decomposition(n=1, k=1, forests=()),  # the empty claim of K_1 is valid
+    Decomposition(n=4, k=1, forests=()),
+    # n(n-1)/2 slots: 0-1 twice, 1-2 missing
+    Decomposition(n=3, k=1, forests=(StarForest((Star(0, (1, 2)),)), StarForest((Star(1, (0,)),)))),
+    # n(n-1)/2 slots with the doubled edge inside one forest
+    Decomposition(n=3, k=2, forests=(StarForest((Star(0, (1, 2)), Star(1, (0,)))),)),
+    # a valid claim with an empty forest
+    Decomposition(n=3, k=1, forests=(StarForest(()), *staircase(3).forests)),
+    # every edge once, but the two stars of the one forest share vertices 1 and 2
+    Decomposition(n=3, k=2, forests=(StarForest((Star(0, (1, 2)), Star(1, (2,)))),)),
+    # every edge once and the stars disjoint, but forest 1 has two stars for k=1
+    Decomposition(n=4, k=1, forests=(StarForest((Star(0, (1, 2)),)), StarForest((Star(1, (2,)), Star(0, (3,)))),
+                                     StarForest((Star(3, (1, 2)),)))),
+], ids=["n1-stray", "n1-empty", "n4-empty", "slots-with-duplicate", "slots-with-duplicate-in-forest", "empty-forest",
+        "exact-cover-overlap", "exact-cover-over-k"])
+def test_bulk_pass_edge_cases(d):
+    assert_report_matches_oracle(d)
+
+
+def test_complete_cover_missing_edges_equal_either_form():
+    bulk = validate_decomposition(staircase(5)).coverage.missing  # the bulk pass's complete form
+    stray = Decomposition(n=5, k=1, forests=(*staircase(5).forests, StarForest((Star(0, (7,)),))))
+    walked = validate_decomposition(stray).coverage.missing  # the walk: full cover, one malformed star
+    assert (bulk.size, len(bulk), bool(bulk), tuple(bulk), list(bulk.rows())) == (0, 0, False, (), [])
+    assert bulk == walked and walked == bulk and hash(bulk) == hash(walked)
+    assert bulk != validate_decomposition(Decomposition(n=5, k=1, forests=())).coverage.missing
+    assert bulk != validate_decomposition(staircase(4)).coverage.missing
 
 
 def test_validate_component_bound():
