@@ -22,14 +22,18 @@ and metadata: ``serialize`` rejects a family, forest name, meta key or meta
 value that is empty, has leading or trailing whitespace or a line break (what
 ``str.splitlines`` splits on), and a meta key with any whitespace.
 
+An integer token may have at most 640 characters, the least limit CPython
+lets ``sys.set_int_max_str_digits`` set, so ``int()`` reads it under any
+setting; under the default of 4300 digits, ``str()`` also writes n(n-1)/2.
+
 A star line's vertex tokens are read through a per-file table from token to
-id.  A token not yet in it is entered when it is ASCII digits naming a vertex
-below n, so a decomposition, whose vertices recur on line after line, checks
-each spelling once.  A line with any other token is re-read token by token,
-so an error and its line number do not depend on the table.  The table holds
-only tokens that appear in the input, never anything of size n.  A
-``duplicates`` line is checked at once, and token by token only to word an
-error.
+id.  A token not yet in it is entered when it is at most 640 ASCII digits
+naming a vertex below n, so a decomposition, whose vertices recur on line
+after line, checks each spelling once.  A line with any other token is
+re-read token by token, so an error and its line number do not depend on the
+table.  The table holds only tokens that appear in the input, never anything
+of size n.  A ``duplicates`` line is checked at once, and token by token
+only to word an error.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ FORMAT_VERSION = 1
 _HEADER = f"decomposition v{FORMAT_VERSION}"
 _ONCE = frozenset({"n", "k", "labels", "family", "duplicates"})  # header lines that may not repeat
 _NO_DIGITS = str.maketrans("", "", "0123456789")
+_MAX_DIGITS = 640  # the most characters an integer token may have, see above
 
 
 class ParseError(DecompositionError):
@@ -102,6 +107,8 @@ def serialize(f: DecompositionFile) -> str:
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:
+    if len(token) > _MAX_DIGITS:
+        raise ParseError(f"line {lineno}: {what} has {len(token)} characters, more than {_MAX_DIGITS}")
     # ASCII -?[0-9]+ only: int() alone also takes '1_0', '+2' and non-ASCII digits
     if token.isdigit() and token.isascii():
         return int(token)
@@ -114,7 +121,7 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
 
 
 class _VertexIds(dict[str, int]):
-    """Vertex token -> id, for the tokens of 0..n-1 in ASCII digits, entered as a star line reads them.
+    """Vertex token -> id, for the tokens of 0..n-1 in at most 640 ASCII digits, entered as a star line reads them.
 
     A token of any other form raises ``KeyError`` and is not entered, so its
     line is re-read by ``_star_vertices``, which words the error.
@@ -125,7 +132,7 @@ class _VertexIds(dict[str, int]):
         self.n = n
 
     def __missing__(self, token: str) -> int:
-        if not (token.isdigit() and token.isascii()) or (v := int(token)) >= self.n:
+        if not (token.isdigit() and token.isascii()) or len(token) > _MAX_DIGITS or (v := int(token)) >= self.n:
             raise KeyError(token)
         self[token] = v
         return v
@@ -146,7 +153,8 @@ def _duplicate_edges(tokens: list[str], lineno: int) -> list[Edge]:
     text, m = " ".join(tokens[1:]), len(tokens) - 1
     ends = text.replace("-", " ").split()
     # each token is one dash with ASCII digits on both sides of it, and nothing else
-    if text.translate(_NO_DIGITS) == " ".join("-" * m) and len(ends) == 2 * m:
+    if (text.translate(_NO_DIGITS) == " ".join("-" * m) and len(ends) == 2 * m
+            and max(map(len, ends), default=0) <= _MAX_DIGITS):
         edges = list(zip(map(int, ends[::2]), map(int, ends[1::2])))
         if all(u < v for u, v in edges):
             return edges

@@ -33,6 +33,19 @@ leaf.  Undo writes -1 back to q, p's old value to p and, after a promotion,
   all.  The test, made before each recursive call, is therefore
   slack + min(m - used, min_v extra[v]) >= 0, whose min is read only while
   slack < 0 and some forest is unused,
+* star count: with m < n-1 each vertex has n-1 > m edges, and a forest gives
+  a vertex two of them only as the center of a star of >= 2 leaves, so every
+  vertex centers such a star somewhere.  Such a center never changes along a
+  branch.  slack + m - used, which is
+  m*n - |E| - sum_f comps[f] - sum_v max(extra[v], 0), never rises, drops by
+  one per new star and ends at 0, so it bounds the stars still to come.  A
+  vertex that centers no star of >= 2 leaves yet needs a new star or one of
+  the flexible stars, each of which grows into a star of two leaves at one
+  end only.  So need = (vertices centering no such star) - (flexible stars)
+  may not exceed slack + m - used.  At the root this reads 2m >= n + 1, so
+  m < n-1 with 2m <= n is answered before K_n is allocated.  For m >= n-1 the
+  test is turned off by adding n to its left side, since need <= n and the
+  slack test keeps slack + m - used >= 0,
 * forest symmetry: index f is tried only if some forest < f is already used
   or f is the first unused one, so the very first edge is pinned to forest 0,
 * vertex symmetry (column rule): for an edge (i, v) with v >= i + 2, if
@@ -100,7 +113,7 @@ def exists_decomposition(n: int, k: int, m: int, budget: SearchBudget | None = N
     """
     if n < 1 or k < 1 or m < 1:
         raise PreconditionError("needs n >= 1, k >= 1, m >= 1")
-    if m * (n - 1) < n * (n - 1) // 2:  # slack < 0 at the root: decided before allocating K_n
+    if m < n - 1 and 2 * m <= n:  # the star-count test fails at the root: decided before allocating K_n
         return SearchResult(SearchStatus.EXHAUSTED_NOT_FOUND, None, 0)
     budget = budget or SearchBudget()
     max_nodes = budget.max_nodes
@@ -115,11 +128,14 @@ def exists_decomposition(n: int, k: int, m: int, budget: SearchBudget | None = N
     used = 0  # forests with a star; forest symmetry keeps them a prefix
     extra = [m - (n - 1)] * n  # per vertex: forests it is absent from minus edges it still needs
     slack = m * (n - 1) - end - n * max(m - (n - 1), 0)  # edge-count slack, see above
+    big = [0] * n  # per vertex: stars of >= 2 leaves centered at it
+    need = n  # vertices with big[v] == 0, less the flexible stars
+    room = m if m < n - 1 else m + n  # slack + room - used >= need is the star-count test; + n turns it off
     nodes = 0
     check = min(4096, max_nodes + 1)  # the next node count that reads the budget or the clock
 
     def solve(idx: int) -> bool:
-        nonlocal used, slack, nodes, check
+        nonlocal used, slack, need, nodes, check
         if idx == end:
             return True
         u, v = edges[idx]
@@ -146,6 +162,7 @@ def exists_decomposition(n: int, k: int, m: int, budget: SearchBudget | None = N
                 else:
                     slack -= 1
                 s[p] = -2
+                need -= 1
             else:  # p is present, so this edge spends one of its edges where it already is
                 if sp >= 0:  # p is a leaf of sp: promote it if its star is flexible
                     if s[sp] != -2:
@@ -153,6 +170,11 @@ def exists_decomposition(n: int, k: int, m: int, budget: SearchBudget | None = N
                     s[sp], s[p] = p, -3
                 else:  # p is a center: attach q
                     s[p] = sp - 1
+                if sp >= -2:  # a flexible star became p's star of two leaves
+                    b = big[p]
+                    big[p] = b + 1
+                    if b:
+                        need += 1
                 e = extra[p] + 1
                 extra[p] = e
                 if e > 0:
@@ -170,10 +192,12 @@ def exists_decomposition(n: int, k: int, m: int, budget: SearchBudget | None = N
             if tied:
                 tie[v] = u + 1 if f == lo else u
             # the child's slack test, made here to spare a call (see above)
-            if (slack >= 0 or used < m and slack + min(m - used, *extra) >= 0) and solve(idx + 1):
+            if ((slack >= 0 or used < m and slack + min(m - used, *extra) >= 0)
+                    and slack + room - used >= need and solve(idx + 1)):
                 return True
             s[q], s[p] = -1, sp
             if sp == -1:
+                need += 1
                 comps[f] -= 1
                 if comps[f] == 0:
                     used -= 1
@@ -182,6 +206,10 @@ def exists_decomposition(n: int, k: int, m: int, budget: SearchBudget | None = N
             else:
                 if sp >= 0:
                     s[sp] = -2
+                if sp >= -2:
+                    big[p] = b
+                    if b:
+                        need -= 1
                 if e > 0:
                     slack += 1
                 extra[p] = e - 1

@@ -227,10 +227,17 @@ def test_search_timeout_stops_at_the_first_deadline_check(capsys):
     assert (rc, json.loads(out)) == (3, {"nodes": 4096, "status": "budget-exceeded"})
 
 
+def test_search_star_count_refutes_at_the_root(capsys):
+    # 4 < n-1 forests on 8 vertices: each vertex must center a star of two
+    # leaves, and the 4*8 - 28 = 4 stars the edge count leaves fall short of 8
+    assert run(capsys, ["search", "--json", "--n", "8", "--k", "2", "--max-forests", "4"]) == (
+        0, '{"nodes": 0, "status": "exhausted-not-found"}\n', "")
+
+
 def test_search_settles_n_minus_1_when_the_budget_ends_there(capsys):
-    # the 5958 nodes exhaust m=5; F_1(7) = 6 then needs no search
-    assert run(capsys, ["search", "--n", "7", "--k", "1", "--max-nodes", "5958"]) == (
-        0, "F_1(7) = 6 (nodes=5958)\n", "")
+    # the 4808 nodes exhaust m=5; F_1(7) = 6 then needs no search
+    assert run(capsys, ["search", "--n", "7", "--k", "1", "--max-nodes", "4808"]) == (
+        0, "F_1(7) = 6 (nodes=4808)\n", "")
 
 
 def test_search_writes_certificate(capsys, tmp_path):
@@ -666,6 +673,24 @@ def test_analyze_huge_header_text(run_module, tmp_path):
         "degree-1 placement: not applicable (placement checks need a valid decomposition)\n"
         "broken double star: False\n"
     )
+
+
+_LONG = "1" * 5000  # more digits than CPython's int() reads by default
+
+
+@pytest.mark.parametrize("text, where", [
+    (f"n {_LONG}\nk 2\n", "line 2: n"),
+    (f"n 4\nk {_LONG}\n", "line 3: k"),
+    (f"n 4\nk 2\nlabels block12m4 {_LONG}\n", "line 4: labels parameter"),
+    (f"n 4\nk 2\nduplicates 0-1 2-{_LONG}\n", "line 4: duplicate edge endpoint"),
+    (f"n 4\nk 2\nforest\nstar {_LONG} : 1\n", "line 5: star center"),
+    (f"n 4\nk 2\nforest\nstar 0 : 1\nstar 2 : 3 {_LONG}\n", "line 6: leaf"),
+], ids=["n", "k", "labels", "duplicates", "center", "leaf"])
+def test_oversized_integer_is_a_parse_error(capsys, tmp_path, text, where):
+    path = tmp_path / "long.sfd"
+    path.write_text("decomposition v1\n" + text)
+    assert run(capsys, ["verify", "--in", str(path)]) == (
+        2, "", f"error: {where} has 5000 characters, more than 640\n")
 
 
 @pytest.mark.parametrize("command", [["analyze", "--json"], ["verify", "--json"], ["export", "--format", "dot"]])

@@ -129,6 +129,16 @@ def test_parse_accepts_only_ascii_integers(body, problem):
     assert str(exc.value) == problem
 
 
+def test_parse_reads_integer_tokens_of_640_characters():
+    # the longest token that int() reads under any sys.set_int_max_str_digits
+    # setting; a star line's tokens go through the table and the re-read path
+    pad = "0" * 639
+    f = parse(f"decomposition v1\nn {pad}4\nk {pad}2\nduplicates {pad}0-{pad}1\n"
+              f"forest\nstar {pad}0 : {pad}1 2\nstar 3 : -{pad}\n")
+    assert (f.decomposition.n, f.decomposition.k, f.raw_duplicates) == (4, 2, ((0, 1),))
+    assert [(s.center, s.leaves) for s in f.decomposition.forests[0].stars] == [(0, (1, 2)), (3, (0,))]
+
+
 def test_parse_reads_minus_zero_as_zero():
     d = parse("decomposition v1\nn 4\nk 2\nforest\nstar 1 : -0\nstar 2 : 3 -0\nforest\nstar -0 : 3\n").decomposition
     assert [(s.center, s.leaves) for f in d.forests for s in f.stars] == [(1, (0,)), (2, (3, 0)), (0, (3,))]
