@@ -64,9 +64,8 @@ def test_f_exact_brute_force_exhaustions_below_optimum():
 
 def test_column_rule_prunes_relabelled_columns():
     # exact node counts of the benchmark's eight instances, measured when the
-    # star-count test joined the search; before it they were 5945, 7049,
-    # 7710, 7710 and 290, and 1088 for both minimisations, and before the
-    # vertex-symmetry column rule (7, 2, 4) and (7, 3, 4) visited 210872 and
+    # star-count test joined the search; before the absence term and the
+    # vertex-symmetry column rule, (7, 2, 4) and (7, 3, 4) visited 210872 and
     # 235321 nodes.  Any change to the pruning moves them.  F_2(6) = 5 = n-1
     # needs no search, and (8, 2, 4) fails the star-count test at the root.
     exhaustions = {(6, 2, 4): 5081, (7, 2, 4): 776, (7, 3, 4): 864,
@@ -391,17 +390,13 @@ def _star_count_bound_along(d):
     counts the vertices of degree < 2 in every forest and k2 the components
     that are one edge."""
     n, m = d.n, d.forest_count
-    forest_of = {}
-    for fi, forest in enumerate(d.forests):
-        for star in forest.stars:
-            for leaf in star.leaves:
-                forest_of[(min(star.center, leaf), max(star.center, leaf))] = fi
     edges = _lex_edges(n)
+    forest_of = _certificate_assignment(d)
     placed = [[] for _ in range(m)]  # each forest's edges so far
     bounds = []
     for t in range(len(edges) + 1):
         if t:
-            placed[forest_of[edges[t - 1]]].append(edges[t - 1])
+            placed[forest_of[t - 1]].append(edges[t - 1])
         degree = [Counter(x for e in p for x in e) for p in placed]  # per forest and vertex
         comps = sum(len(deg) - len(p) for deg, p in zip(degree, placed))  # a prefix of a forest is a forest
         absent = [sum(v not in deg for deg in degree) for v in range(n)]
