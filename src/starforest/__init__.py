@@ -53,6 +53,7 @@ from .search import (
     SearchStatus,
     exists_decomposition,
     f_exact,
+    hypergraph_exists,
 )
 from .verify import (
     CountingReport,

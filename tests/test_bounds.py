@@ -96,8 +96,9 @@ def test_bound_report_with_search():
 
 
 def test_bound_report_search_out_of_budget_raises_only_the_lower_bound():
-    # m=6 exhausts in 235,528 nodes, then m=7 runs out of budget
-    r = bound_report(9, 1, budget=SearchBudget(max_nodes=300_000))
+    # m=6 exhausts in the backtracker's allowance of 1024 nodes (six single
+    # centers cannot cover nine vertices), then m=7 runs out of budget
+    r = bound_report(9, 1, budget=SearchBudget(max_nodes=2047))
     assert (r.lower, r.lower_source, r.upper, r.upper_source) == (7, "search", None, None)
 
 
@@ -151,9 +152,10 @@ def test_bound_report_pinned(k):
 
 
 def test_bound_report_with_search_pinned():
-    # every k <= n <= 7; the node budget stops F_2(7) early, so its row keeps the formulas
+    # every k <= n <= 7; F_2(7) = 6 fits the node budget (1431 nodes), so its
+    # row reads lower = upper = 6 from the search
     h = hashlib.sha256()
     for n in range(1, 8):
         for k in range(1, n + 1):
             h.update(repr(bound_report(n, k, budget=SearchBudget(max_nodes=20_000))).encode())
-    assert h.hexdigest() == "2d67abac9827cd953c5136d836844b03467b465d6cae7bc1ea85fe9bc11621e5"
+    assert h.hexdigest() == "59bd751924dfa6b1747ab125b277912d9e8f5421200d049b0fb69667570d650e"

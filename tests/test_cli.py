@@ -221,8 +221,9 @@ def test_bounds_with_search_deeper_than_the_recursion_limit_keeps_the_row(capsys
 
 
 def test_search_timeout_stops_at_the_first_deadline_check(capsys):
-    # the deadline is read every 4096 nodes, first at node 4096
-    rc, out, _ = run(capsys, ["search", "--n", "7", "--k", "2", "--max-forests", "5",
+    # the deadline is read every 4096 nodes, first at node 4096; (10, 2, 7)
+    # needs 1024 backtracker nodes and 19331 center-set placements
+    rc, out, _ = run(capsys, ["search", "--n", "10", "--k", "2", "--max-forests", "7",
                               "--timeout", "1e-9", "--json"])
     assert (rc, json.loads(out)) == (3, {"nodes": 4096, "status": "budget-exceeded"})
 
@@ -235,9 +236,10 @@ def test_search_star_count_refutes_at_the_root(capsys):
 
 
 def test_search_settles_n_minus_1_when_the_budget_ends_there(capsys):
-    # the 4808 nodes exhaust m=5; F_1(7) = 6 then needs no search
-    assert run(capsys, ["search", "--n", "7", "--k", "1", "--max-nodes", "4808"]) == (
-        0, "F_1(7) = 6 (nodes=4808)\n", "")
+    # the backtracker's allowance of 1024 nodes, and no center-set placement,
+    # exhaust m=5; F_1(7) = 6 then needs no search
+    assert run(capsys, ["search", "--n", "7", "--k", "1", "--max-nodes", "1024"]) == (
+        0, "F_1(7) = 6 (nodes=1024)\n", "")
 
 
 def test_search_writes_certificate(capsys, tmp_path):

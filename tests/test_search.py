@@ -1,5 +1,7 @@
 import hashlib
+import math
 import os
+import time
 from collections import Counter
 from functools import lru_cache
 
@@ -16,12 +18,20 @@ from starforest import (
     exists_decomposition,
     f2_construction,
     f_exact,
+    hypergraph_exists,
     k4_construction,
     k16,
     k27,
     validate_decomposition,
 )
+from starforest import search
+from starforest.core import complete_graph_edges
 from starforest.fileio import DecompositionFile, serialize
+
+
+def backtrack(n, k, m, max_nodes=50_000_000):
+    """The backtracker alone, without the hypergraph engine."""
+    return search._backtrack(n, k, m, max_nodes, math.inf, 0)
 
 
 def test_k3_single_star_forests():
@@ -62,20 +72,37 @@ def test_f_exact_brute_force_exhaustions_below_optimum():
     assert exists_decomposition(8, 2, 4).status is SearchStatus.EXHAUSTED_NOT_FOUND
 
 
+_BENCHMARK_MINIMISATIONS = {(6, 2): 0, (7, 3): 877, (7, 7): 877}
+
+
 def test_column_rule_prunes_relabelled_columns():
-    # exact node counts of the benchmark's eight instances, measured when the
-    # star-count test joined the search; before the absence term and the
-    # vertex-symmetry column rule, (7, 2, 4) and (7, 3, 4) visited 210872 and
-    # 235321 nodes.  Any change to the pruning moves them.  F_2(6) = 5 = n-1
-    # needs no search, and (8, 2, 4) fails the star-count test at the root.
+    # the backtracker's own node counts on the benchmark's eight instances,
+    # measured when the star-count test joined the search; before the absence
+    # term and the vertex-symmetry column rule, (7, 2, 4) and (7, 3, 4) visited
+    # 210872 and 235321 nodes.  Any change to the pruning moves them.
+    # F_2(6) = 5 = n-1 needs no search, and (8, 2, 4) fails the star-count
+    # test at the root.
     exhaustions = {(6, 2, 4): 5081, (7, 2, 4): 776, (7, 3, 4): 864,
+                   (7, 4, 4): 864, (8, 2, 4): 0}
+    for (n, k, m), nodes in exhaustions.items():
+        res = backtrack(n, k, m)
+        assert (res.status, res.nodes_explored) == (SearchStatus.EXHAUSTED_NOT_FOUND, nodes)
+    for (n, k), nodes in _BENCHMARK_MINIMISATIONS.items():
+        res = f_exact(n, k)
+        assert (res.value, res.nodes_explored) == (5, nodes)
+
+
+def test_exists_decomposition_node_counts():
+    # the same instances through exists_decomposition: (6, 2, 4) spends the
+    # backtracker's allowance of 1024 nodes, then the hypergraph engine
+    # exhausts it in 48 center-set placements; the rest end within the allowance
+    exhaustions = {(6, 2, 4): 1024 + 48, (7, 2, 4): 776, (7, 3, 4): 864,
                    (7, 4, 4): 864, (8, 2, 4): 0}
     for (n, k, m), nodes in exhaustions.items():
         res = exists_decomposition(n, k, m)
         assert (res.status, res.nodes_explored) == (SearchStatus.EXHAUSTED_NOT_FOUND, nodes)
-    for (n, k), nodes in {(6, 2): 0, (7, 3): 877, (7, 7): 877}.items():
-        res = f_exact(n, k)
-        assert (res.value, res.nodes_explored) == (5, nodes)
+    for (n, k), nodes in _BENCHMARK_MINIMISATIONS.items():
+        assert f_exact(n, k).nodes_explored == nodes
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -111,13 +138,13 @@ def test_f_exact_n7_fast_cases():
     assert f_exact(7, 7).value == 5
 
 
-@pytest.mark.skipif(not os.environ.get("STARFOREST_SLOW"),
-                    reason="~4s exhaustion; set STARFOREST_SLOW=1 to run")
 def test_f_exact_n7_two_star_slow():
+    # the backtracker alone needs 2,505,094 nodes for m = 5; the hypergraph
+    # engine decides it after the allowance in 407 placements
     res = f_exact(7, 2)
     assert res.value == 6  # matches ceil(3*7/4)
     assert res.attempts == ((5, SearchStatus.EXHAUSTED_NOT_FOUND),)
-    assert res.nodes_explored == 2_505_094
+    assert res.nodes_explored == 1024 + 407
 
 
 def test_certificates_respect_budgets():
@@ -141,8 +168,17 @@ def test_budget_of_exactly_the_nodes_needed_finds():
 
 
 def test_wall_time_stops_at_the_first_deadline_check():
-    # the deadline is read every 4096 nodes, so even an expired one lets 4096 run
-    res = exists_decomposition(7, 2, 5, SearchBudget(wall_time=1e-9))
+    # the deadline is read every 4096 nodes, so even an expired one lets 4096
+    # run; (10, 2, 7) reads it inside the hypergraph engine, at placement 3072
+    # after the backtracker's allowance of 1024 nodes
+    res = exists_decomposition(10, 2, 7, SearchBudget(wall_time=1e-9))
+    assert (res.status, res.certificate, res.nodes_explored) == (SearchStatus.BUDGET_EXCEEDED, None, 4096)
+
+
+def test_wall_time_is_read_at_the_same_node_counts_in_every_stage():
+    # (8, 4, 5) is feasible: the backtracker's second run starts after
+    # 1024 + 2812 nodes and reads the expired deadline at node 4096
+    res = exists_decomposition(8, 4, 5, SearchBudget(wall_time=1e-9))
     assert (res.status, res.certificate, res.nodes_explored) == (SearchStatus.BUDGET_EXCEEDED, None, 4096)
 
 
@@ -160,18 +196,20 @@ def staircase(n: int, k: int) -> Decomposition:
 
 
 def test_f_exact_budget_runs_out_inside_and_after_an_exhaustion():
-    # F_1(7) = 6 from the lower bound 5.  Exhausting m=5 visits 4808 nodes, and
-    # a search visits at most max_nodes nodes: one short of 4808 stops inside
-    # the exhaustion, and exactly 4808 completes it with nothing left for m=6,
-    # which n-1 = 6 single stars settle without a search.
-    res = f_exact(7, 1, SearchBudget(max_nodes=4807))
+    # F_1(7) = 6 from the lower bound 5.  Exhausting m=5 takes the
+    # backtracker's allowance of 1024 nodes, and then no center-set placement:
+    # five single centers cannot cover seven vertices.  A search visits at
+    # most max_nodes nodes: one short of 1024 stops inside the exhaustion, and
+    # exactly 1024 completes it with nothing left for m=6, which n-1 = 6
+    # single stars settle without a search.
+    res = f_exact(7, 1, SearchBudget(max_nodes=1023))
     assert res.status is SearchStatus.BUDGET_EXCEEDED
     assert res.attempts == ((5, SearchStatus.BUDGET_EXCEEDED),)
-    assert (res.interval, res.nodes_explored) == ((5, 6), 4807)
-    res = f_exact(7, 1, SearchBudget(max_nodes=4808))
+    assert (res.interval, res.nodes_explored) == ((5, 6), 1023)
+    res = f_exact(7, 1, SearchBudget(max_nodes=1024))
     assert (res.status, res.value, res.certificate) == (SearchStatus.FOUND, 6, staircase(7, 1))
     assert res.attempts == ((5, SearchStatus.EXHAUSTED_NOT_FOUND),)
-    assert (res.interval, res.nodes_explored) == ((6, 6), 4808)
+    assert (res.interval, res.nodes_explored) == ((6, 6), 1024)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -316,8 +354,10 @@ def test_pinned_certificates(n, k):
 @lru_cache(maxsize=None)
 def _sweep_digests():
     """sha256 over every (n, k, m) with 1 <= k, m <= n <= 7 of status, node
-    count and certificate, and a second one that leaves the node count out."""
-    full, results = hashlib.sha256(), hashlib.sha256()
+    count and certificate; a second one that leaves the node count out; and a
+    third that also reports (7, 2, 5) as budget-exceeded, as the backtracker
+    alone did within this budget."""
+    full, results, alone = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for n in range(1, 8):
         for k in range(1, n + 1):
             for m in range(1, n + 1):
@@ -325,20 +365,26 @@ def _sweep_digests():
                 cert = "" if res.certificate is None else serialize(DecompositionFile(res.certificate, family="search"))
                 full.update(f"{n} {k} {m} {res.status.value} {res.nodes_explored}\n{cert}".encode())
                 results.update(f"{n} {k} {m} {res.status.value}\n{cert}".encode())
-    return full.hexdigest(), results.hexdigest()
+                status = "budget-exceeded" if (n, k, m) == (7, 2, 5) else res.status.value
+                alone.update(f"{n} {k} {m} {status}\n{cert}".encode())
+    return full.hexdigest(), results.hexdigest(), alone.hexdigest()
 
 
 def test_search_sweep_pinned():
     # any change to the edge order or the pruning moves it
-    assert _sweep_digests()[0] == "feb2c9fa54df6bcd72d05cef01ff31ec6153582319f72fd6c9d16206f097d311"
+    assert _sweep_digests()[0] == "6adb7fc3e7d00fe45d1fbd9ef61bf90c923125f38456735aec49454dba1e1c01"
 
 
 def test_search_sweep_results_pinned():
     # statuses and certificates only, so a pruning change that keeps them
-    # leaves this pin alone; recorded before the absence term joined the
-    # slack.  Its m = n rows find n-1 forests and leave one empty, which the
-    # absence term alone would cut (and report K_2 undecomposable into 2)
-    assert _sweep_digests()[1] == "c488dd44bb2978c3df2108a89d7f077d1b756ed03956cb1fffe6ee1c05b3beca"
+    # leaves this pin alone.  The first pin was recorded before the absence
+    # term joined the slack, when the backtracker alone ran out of this budget
+    # on (7, 2, 5): every other status and every certificate still match it.
+    # Its m = n rows find n-1 forests and leave one empty, which the absence
+    # term alone would cut (and report K_2 undecomposable into 2)
+    _, results, alone = _sweep_digests()
+    assert alone == "c488dd44bb2978c3df2108a89d7f077d1b756ed03956cb1fffe6ee1c05b3beca"
+    assert results == "82777e169756f6b99d62b8eb19ebcc942637bab9e896dcda601f2f2bcc97a8db"
 
 
 def _absence_slack_along(d):
@@ -438,3 +484,118 @@ def test_search_n8_results_pinned():
             cert = "" if res.certificate is None else serialize(DecompositionFile(res.certificate, family="search"))
             digest.update(f"8 {k} {m} {res.status.value}\n{cert}".encode())
     assert digest.hexdigest() == "d6ac379990186d1c20efffd77ed2682dc4f72c6ffb0c50ed1fa11fd70b1f81da"
+
+
+# ---------------------------------------------------------------------------
+# the hypergraph engine: against the backtracker, the brute-force oracle and
+# the center sets of known decompositions
+# ---------------------------------------------------------------------------
+
+
+def _engine_agrees_with_backtracker(n):
+    """hypergraph_exists and the backtracker alone give every (n, k, m) with
+    m < n-1 the same status, and each engine certificate is valid."""
+    for k in range(1, n + 1):
+        for m in range(1, n - 1):
+            res = hypergraph_exists(n, k, m)
+            assert (n, k, m, res.status) == (n, k, m, backtrack(n, k, m).status)
+            if res.certificate is not None:
+                assert validate_decomposition(res.certificate).ok
+                assert res.certificate.k == k
+                assert res.certificate.forest_count <= m
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_hypergraph_engine_matches_backtracker(n):
+    _engine_agrees_with_backtracker(n)
+
+
+@pytest.mark.skipif(not os.environ.get("STARFOREST_SLOW"),
+                    reason="~50s, the backtracker alone visits 13.5M nodes on (8, 3, 5); set STARFOREST_SLOW=1 to run")
+def test_hypergraph_engine_matches_backtracker_n8_slow():
+    _engine_agrees_with_backtracker(8)
+
+
+@pytest.mark.parametrize("n,k,m", _ORACLE_CASES)
+def test_hypergraph_engine_matches_brute_force_oracle(n, k, m):
+    feasible = any(worst <= k for _, worst in _valid_assignments(n, m))
+    res = hypergraph_exists(n, k, m)
+    assert res.status is (SearchStatus.FOUND if feasible else SearchStatus.EXHAUSTED_NOT_FOUND)
+    if feasible:
+        assert validate_decomposition(res.certificate).ok
+        assert res.certificate.forest_count <= m
+
+
+def _center_sets(d, flip):
+    """Per vertex, the bitmask of the forests of d whose stars it centers; with
+    flip, every one-leaf star takes its leaf as its center instead."""
+    member = [0] * d.n
+    for f, forest in enumerate(d.forests):
+        for star in forest.stars:
+            member[star.leaves[0] if flip and len(star.leaves) == 1 else star.center] |= 1 << f
+    return member
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["centers", "one-leaf-flipped"])
+@pytest.mark.parametrize("make", [
+    lambda: k27().decomposition, lambda: k16().decomposition,
+    *(lambda t=t: broken_double_star(t).decomposition for t in range(2, 6)),
+    *(lambda n=n: f2_construction(n).decomposition for n in range(4, 11, 2)),
+    *(lambda nk=nk: f_exact(*nk).certificate for nk in sorted(_PINNED_CERTIFICATES)),
+], ids=["k27", "k16", *(f"bds-t{t}" for t in range(2, 6)), *(f"f2-n{n}" for n in range(4, 11, 2)),
+        *(f"search-{n}-{k}" for n, k in sorted(_PINNED_CERTIFICATES))])
+def test_center_sets_of_a_decomposition_admit_a_covering_matching(make, flip):
+    # the reduction of hypergraph_exists, read forwards: the centers of a
+    # valid decomposition admit a matching of every edge into a leaf slot
+    d = make()
+    edges = complete_graph_edges(d.n)
+    cover = search._leaf_cover(edges, _center_sets(d, flip))
+    assert cover is not None
+    assert sorted(cover.values()) == list(range(len(edges)))
+
+
+def test_engines_that_disagree_raise(monkeypatch, run_optimized):
+    # the hypergraph engine reports (6, 2, 4) feasible; the backtracker then
+    # exhausts it, and the search must say so, also under python -O
+    monkeypatch.setattr(search, "_hypergraph", lambda n, k, m, max_nodes, deadline, nodes:
+                        search.SearchResult(SearchStatus.FOUND, None, nodes + 1))
+    with pytest.raises(AssertionError, match=r"center sets for \(6, 2, 4\)"):
+        exists_decomposition(6, 2, 4)
+    proc = run_optimized(
+        "from starforest import search\n"
+        "search._hypergraph = lambda n, k, m, max_nodes, deadline, nodes: "
+        "search.SearchResult(search.SearchStatus.FOUND, None, nodes + 1)\n"
+        "search.exists_decomposition(6, 2, 4)\n"
+    )
+    assert proc.returncode != 0
+    assert "AssertionError: hypergraph_exists found center sets for (6, 2, 4)" in proc.stderr
+
+
+def test_hypergraph_engine_exhausts_9_2_6_within_a_second():
+    # F_2(9) >= 7; the backtracker alone does not finish (9, 2, 6) in 60 s
+    start = time.perf_counter()
+    assert hypergraph_exists(9, 2, 6).status is SearchStatus.EXHAUSTED_NOT_FOUND
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("k,placements", [(2, 124), (3, 2903)])
+def test_n8_m5_exhausts_through_exists_decomposition(k, placements):
+    # the backtracker alone needs 3,679,924 and 13,497,802 nodes for these
+    res = exists_decomposition(8, k, 5)
+    assert (res.status, res.nodes_explored) == (SearchStatus.EXHAUSTED_NOT_FOUND, 1024 + placements)
+
+
+@pytest.mark.skipif(not os.environ.get("STARFOREST_SLOW"),
+                    reason="~10s, F_2(9) = 7 is certified by the backtracker; set STARFOREST_SLOW=1 to run")
+def test_f_exact_n9_two_star_slow():
+    res = f_exact(9, 2)
+    assert res.value == 7 == -(-3 * 9 // 4)
+    assert res.attempts[-2:] == ((6, SearchStatus.EXHAUSTED_NOT_FOUND), (7, SearchStatus.FOUND))
+    assert validate_decomposition(res.certificate).ok
+
+
+@pytest.mark.skipif(not os.environ.get("STARFOREST_SLOW"),
+                    reason="~1s exhaustion; set STARFOREST_SLOW=1 to run")
+def test_n10_k2_m7_exhausted_slow():
+    # the lower half of F_2(10) = 8
+    assert exists_decomposition(10, 2, 7).status is SearchStatus.EXHAUSTED_NOT_FOUND
