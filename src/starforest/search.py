@@ -58,9 +58,11 @@ leaf.  Undo writes -1 back to q, p's old value to p and, after a promotion,
   the flexible stars, each of which grows into a star of two leaves at one
   end only.  So need = (vertices centering no such star) - (flexible stars)
   may not exceed slack + m - used.  At the root this reads 2m >= n + 1, so
-  m < n-1 with 2m <= n is answered before K_n is allocated.  For m >= n-1 the
-  test is turned off by adding n to its left side, since need <= n and the
-  slack test keeps slack + m - used >= 0,
+  m < n-1 with 2m <= n is answered before K_n is allocated.  So is m < n-1
+  with km < n, which adds the rows with k = 1: every vertex centers a star
+  somewhere, and m forests hold at most km stars.  For m >= n-1 the test is
+  turned off by adding n to its left side, since need <= n and the slack
+  test keeps slack + m - used >= 0,
 * forest symmetry: index f is tried only if some forest < f is already used
   or f is the first unused one, so the very first edge is pinned to forest 0,
 * vertex symmetry (column rule): for an edge (i, v) with v >= i + 2, if
@@ -156,7 +158,7 @@ def exists_decomposition(n: int, k: int, m: int, budget: SearchBudget | None = N
 
 def _backtrack(n: int, k: int, m: int, max_nodes: int, deadline: float, nodes: int) -> SearchResult:
     """The backtracker alone, counting on from ``nodes`` spent before it."""
-    if m < n - 1 and 2 * m <= n:  # the star-count test fails at the root: decided before allocating K_n
+    if m < n - 1 and (2 * m <= n or k * m < n):  # too few stars for n centers: decided before allocating K_n
         return SearchResult(SearchStatus.EXHAUSTED_NOT_FOUND, None, nodes)
     monotonic = time.monotonic
     edges = complete_graph_edges(n)

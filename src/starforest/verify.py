@@ -13,11 +13,11 @@ checks used across the test suite:
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, filterfalse, repeat
+from itertools import chain, compress, filterfalse, repeat
 
 from .core import (
     Decomposition,
@@ -30,40 +30,41 @@ from .core import (
 class MissingEdges:
     """The edges of K_n that a claim leaves uncovered, in lexicographic order.
 
-    Lazy: the object holds only the covered in-range edges, indexed by their
-    lower endpoint (``covered[u]`` is the set of covered v, u < v < n), so its
-    memory follows the input and not n².  ``covered=None`` stands for a
-    complete cover, as a valid claim has: the object holds no edges, its size
-    is 0 and it iterates nothing.  ``size`` is the exact count, found
-    by arithmetic; ``len()`` is the same, but Python raises ``OverflowError``
-    past ``sys.maxsize``, so read ``size`` where n may be that large.
-    ``bool()`` tells whether any edge is missing.  Iteration and ``rows()``
-    walk the rows on demand, so ``islice(missing, 20)`` costs 20 edges even for
-    an empty claim with a huge header; there is no indexing.  Two objects are
-    equal when they miss the same edges of the same K_n, whichever form each has.
+    Lazy: the object holds only the covered edges of K_n, each as the key
+    ``u*n + v`` (u < v < n), so its memory follows the input and not n².
+    ``size`` is the exact count, found by arithmetic; ``len()`` is the same,
+    but Python raises ``OverflowError`` past ``sys.maxsize``, so read ``size``
+    where n may be that large.  ``bool()`` tells whether any edge is missing.
+    Iteration and ``rows()`` walk the rows on demand, so ``islice(missing,
+    20)`` costs 20 edges even for an empty claim with a huge header; there is
+    no indexing.  Two objects are equal when they miss the same edges of the
+    same K_n.
     """
 
     __slots__ = ("n", "size", "_covered")
 
-    def __init__(self, n: int, covered: dict[int, set[int]] | None) -> None:
+    def __init__(self, n: int, covered: set[int]) -> None:
         self.n = n
         self._covered = covered
-        self.size = 0 if covered is None else n * (n - 1) // 2 - sum(map(len, covered.values()))
+        self.size = n * (n - 1) // 2 - len(covered)
 
     def rows(self) -> Iterator[tuple[int, Iterable[int]]]:
         """Each row u with a missing edge, with the missing upper ends v > u in order.
 
-        A row with no covered edge is a ``range``; a full row is skipped.
+        A row with no covered edge is a ``range``; a full row is skipped.  The
+        covered count of each row is taken here, one pass over the keys.
         """
         n, covered = self.n, self._covered
         if not self.size:
             return
+        per_row = Counter(map(n.__rfloordiv__, covered))
         for u in range(n - 1):
-            row = covered.get(u)
-            if row is None:
+            got = per_row.get(u)
+            if got is None:
                 yield u, range(u + 1, n)
-            elif len(row) < n - 1 - u:
-                yield u, filterfalse(row.__contains__, range(u + 1, n))
+            elif got < n - 1 - u:
+                un = u * n
+                yield u, map((-un).__add__, filterfalse(covered.__contains__, range(un + u + 1, un + n)))
 
     def __iter__(self) -> Iterator[Edge]:
         for u, vs in self.rows():
@@ -78,7 +79,7 @@ class MissingEdges:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MissingEdges):
             return NotImplemented
-        return self.n == other.n and (self.size == other.size == 0 or self._covered == other._covered)
+        return self.n == other.n and self._covered == other._covered
 
     def __hash__(self) -> int:
         return hash((self.n, self.size))
@@ -111,66 +112,48 @@ class ValidationReport:
     coverage: CoverageReport
 
 
-def _covers_once(d: Decomposition) -> bool:
-    """Whether every forest has at most k disjoint stars inside K_n and no edge repeats.
-
-    With n(n-1)/2 slots that is an exact cover of E(K_n).  ``seen.update``
-    takes a star's leaves at once.  Each edge goes into one set as the key
-    ``u*n + v`` (u < v), which names a single edge once both ends are in
-    range (``Star`` rules out negative ids).  The walk stops at the first
-    forest that breaks a rule or repeats an edge.
-    """
-    n, k = d.n, d.k
-    covered: set[int] = set()
-    slots = 0
-    for forest in d.forests:
-        stars = forest.stars
-        if len(stars) > k:
-            return False
-        seen: set[int] = set()
-        count = len(stars)  # vertex occurrences in the forest: its centers, then its leaves
-        for star in stars:
-            c, leaves = star.center, star.leaves
-            seen.add(c)
-            seen.update(leaves)
-            count += len(leaves)
-            cn = c * n
-            for v in leaves:
-                covered.add(cn + v if c < v else v * n + c)
-        slots += count - len(stars)
-        if len(seen) != count or (seen and max(seen) >= n) or len(covered) != slots:
-            return False
-    return True
+def _repeats(items: Iterable) -> Iterator[tuple]:
+    """Each item listed more than once in ``items``, with its count."""
+    counts = Counter(items)
+    return compress(counts.items(), map((1).__lt__, counts.values()))
 
 
 def validate_decomposition(d: Decomposition) -> ValidationReport:
-    """Full check: structure and exact single coverage of E(K_n).
+    """Full check: structure and exact single coverage of E(K_n), in one pass.
 
-    A claim whose slot total (``d.total_edge_slots()``) is n(n-1)/2 first
-    takes a bulk pass, ``_covers_once``: when its stars are disjoint per
-    forest, in range, within the k bound and cover no edge twice, those slots
-    are exactly the edges of K_n, and the report is valid with a complete
-    ``MissingEdges``.  Any other claim, and one that fails the bulk pass,
-    falls through to the walk below, which visits every vertex and leaf and
-    names each fault, so its report is the same whichever path ran.
-
-    Structural violations (overlapping stars, out-of-range ids) are reported
-    as malformed, separately from missing/duplicated coverage, so downstream
-    placement checks can trust the shape of anything that passes.  An edge
-    outside K_n needs an out-of-range endpoint, so it is always malformed.
+    Each forest is checked a star at a time: ``seen`` takes a star's center
+    and leaves at once, so overlapping stars and ids >= n show in its size
+    and maximum.  A sound forest lists each edge as the key ``u*n + v``
+    (u < v), one edge of K_n (``Star`` rules out negative ids); ``covered`` is
+    the set of those keys, and a key listed twice is an edge covered twice.
+    Any other forest is walked vertex by vertex, to word each fault as
+    malformed and set each edge with an end >= n apart in ``stray`` (only a
+    claim built in code has one, as ``parse`` rejects it).  Malformed stays
+    separate from coverage, so downstream placement checks can trust the
+    shape of anything that passes.
     """
     n = d.n
-    total = n * (n - 1) // 2
-    if d.total_edge_slots() == total and _covers_once(d):
-        coverage = CoverageReport(total_edges=total, missing=MissingEdges(n, None), duplicated=())
-        return ValidationReport(ok=True, malformed=(), k_violations=(), coverage=coverage)
     malformed: list[str] = []
-    rows: defaultdict[int, set[int]] = defaultdict(set)  # covered edges of K_n: lower end -> upper ends
-    stray: defaultdict[int, set[int]] = defaultdict(set)  # the same for edges with an endpoint >= n
-    extra: Counter[Edge] = Counter()  # copies of an edge past its first
+    keys: list[int] = []  # each covered edge of K_n, once per copy
+    push = keys.append
+    stray: list[Edge] = []  # each covered edge with an endpoint >= n
     for fi, forest in enumerate(d.forests):
+        stars = forest.stars
         seen: set[int] = set()
-        for star in forest.stars:
+        count = 0  # vertex occurrences in the forest
+        for star in stars:
+            seen.add(star.center)
+            seen.update(star.leaves)
+            count += 1 + len(star.leaves)
+        if len(seen) == count and (not seen or max(seen) < n):
+            for star in stars:
+                c = star.center
+                cn = c * n
+                for v in star.leaves:
+                    push(cn + v if c < v else v * n + c)
+            continue
+        seen.clear()
+        for star in stars:
             c = star.center
             for v in (c, *star.leaves):
                 if v >= n:
@@ -180,15 +163,17 @@ def validate_decomposition(d: Decomposition) -> ValidationReport:
                 seen.add(v)
             for leaf in star.leaves:
                 u, v = (c, leaf) if c < leaf else (leaf, c)
-                row = (rows if v < n else stray)[u]
-                if v in row:
-                    extra[u, v] += 1
-                row.add(v)
+                if v < n:
+                    push(u * n + v)
+                else:
+                    stray.append((u, v))
     k_violations = tuple(fi for fi, f in enumerate(d.forests) if len(f.stars) > d.k)
 
-    missing = MissingEdges(n, rows)
-    duplicated = tuple(sorted((e, c + 1) for e, c in extra.items()))
-    coverage = CoverageReport(total_edges=total, missing=missing, duplicated=duplicated)
+    covered = set(keys)
+    copies = [(divmod(key, n), c) for key, c in _repeats(keys)] if len(covered) < len(keys) else []
+    duplicated = tuple(sorted(copies + list(_repeats(stray)) if stray else copies))
+    missing = MissingEdges(n, covered)
+    coverage = CoverageReport(total_edges=n * (n - 1) // 2, missing=missing, duplicated=duplicated)
     ok = not malformed and not k_violations and not missing and not duplicated
     return ValidationReport(ok=ok, malformed=tuple(malformed), k_violations=k_violations, coverage=coverage)
 

@@ -96,10 +96,17 @@ def test_bound_report_with_search():
 
 
 def test_bound_report_search_out_of_budget_raises_only_the_lower_bound():
-    # m=6 exhausts in the backtracker's allowance of 1024 nodes (six single
-    # centers cannot cover nine vertices), then m=7 runs out of budget
-    r = bound_report(9, 1, budget=SearchBudget(max_nodes=2047))
+    # m=6 exhausts in 2386 nodes (the backtracker's allowance of 1024, then
+    # 1362 center-set placements), then m=7 runs out of budget
+    r = bound_report(9, 2, budget=SearchBudget(max_nodes=4095))
     assert (r.lower, r.lower_source, r.upper, r.upper_source) == (7, "search", None, None)
+
+
+def test_bound_report_search_settles_single_star_rows_at_the_root():
+    # six or seven single centers cannot cover nine vertices, so m=6 and m=7
+    # exhaust with 0 nodes, and F_1(9) = 8 = n-1 needs no search
+    r = bound_report(9, 1, budget=SearchBudget(max_nodes=2047))
+    assert (r.lower, r.lower_source, r.upper, r.upper_source) == (8, "search", 8, "search")
 
 
 def test_bound_report_construction_sizes_always_validated():

@@ -236,10 +236,10 @@ def test_search_star_count_refutes_at_the_root(capsys):
 
 
 def test_search_settles_n_minus_1_when_the_budget_ends_there(capsys):
-    # the backtracker's allowance of 1024 nodes, and no center-set placement,
-    # exhaust m=5; F_1(7) = 6 then needs no search
-    assert run(capsys, ["search", "--n", "7", "--k", "1", "--max-nodes", "1024"]) == (
-        0, "F_1(7) = 6 (nodes=1024)\n", "")
+    # the backtracker's allowance of 1024 nodes, then 407 center-set
+    # placements, exhaust m=5; F_2(7) = 6 then needs no search
+    assert run(capsys, ["search", "--n", "7", "--k", "2", "--max-nodes", "1431"]) == (
+        0, "F_2(7) = 6 (nodes=1431)\n", "")
 
 
 def test_search_writes_certificate(capsys, tmp_path):

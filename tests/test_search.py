@@ -196,20 +196,30 @@ def staircase(n: int, k: int) -> Decomposition:
 
 
 def test_f_exact_budget_runs_out_inside_and_after_an_exhaustion():
-    # F_1(7) = 6 from the lower bound 5.  Exhausting m=5 takes the
-    # backtracker's allowance of 1024 nodes, and then no center-set placement:
-    # five single centers cannot cover seven vertices.  A search visits at
-    # most max_nodes nodes: one short of 1024 stops inside the exhaustion, and
-    # exactly 1024 completes it with nothing left for m=6, which n-1 = 6
-    # single stars settle without a search.
-    res = f_exact(7, 1, SearchBudget(max_nodes=1023))
+    # F_2(7) = 6 from the lower bound 5.  Exhausting m=5 takes the
+    # backtracker's allowance of 1024 nodes, then 407 center-set placements.
+    # A search visits at most max_nodes nodes: one short of 1431 stops inside
+    # the exhaustion, and exactly 1431 completes it with nothing left for m=6,
+    # which the staircase of n-1 = 6 stars settles without a search.
+    res = f_exact(7, 2, SearchBudget(max_nodes=1430))
     assert res.status is SearchStatus.BUDGET_EXCEEDED
     assert res.attempts == ((5, SearchStatus.BUDGET_EXCEEDED),)
-    assert (res.interval, res.nodes_explored) == ((5, 6), 1023)
-    res = f_exact(7, 1, SearchBudget(max_nodes=1024))
-    assert (res.status, res.value, res.certificate) == (SearchStatus.FOUND, 6, staircase(7, 1))
+    assert (res.interval, res.nodes_explored) == ((5, 6), 1430)
+    res = f_exact(7, 2, SearchBudget(max_nodes=1431))
+    assert (res.status, res.value, res.certificate) == (SearchStatus.FOUND, 6, staircase(7, 2))
     assert res.attempts == ((5, SearchStatus.EXHAUSTED_NOT_FOUND),)
-    assert (res.interval, res.nodes_explored) == ((6, 6), 1024)
+    assert (res.interval, res.nodes_explored) == ((6, 6), 1431)
+
+
+def test_too_few_centers_exhaust_at_the_root():
+    # with m < n-1 every vertex centers a star somewhere, and m forests hold
+    # at most k*m stars: k*m < n is decided before any node, at any n.  For
+    # k >= 2 that implies 2m <= n, so the rows it adds are those with k = 1
+    for n, k, m in ((7, 1, 5), (8, 1, 5), (8, 1, 6), (10**6, 1, 10**6 - 2)):
+        res = exists_decomposition(n, k, m)
+        assert (res.status, res.nodes_explored) == (SearchStatus.EXHAUSTED_NOT_FOUND, 0)
+    res = f_exact(8, 1)
+    assert (res.value, res.nodes_explored) == (7, 0)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -372,7 +382,7 @@ def _sweep_digests():
 
 def test_search_sweep_pinned():
     # any change to the edge order or the pruning moves it
-    assert _sweep_digests()[0] == "6adb7fc3e7d00fe45d1fbd9ef61bf90c923125f38456735aec49454dba1e1c01"
+    assert _sweep_digests()[0] == "37b17d8022b82db624365284d0c45d8cca959d1b19f2b32ac81d79af73301824"
 
 
 def test_search_sweep_results_pinned():

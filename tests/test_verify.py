@@ -190,7 +190,7 @@ def assert_report_matches_oracle(d: Decomposition) -> None:
     assert rep.coverage.missing.size == len(missing)
 
 
-# valid multi-star decompositions; a claim with n(n-1)/2 slots takes the bulk pass first
+# valid multi-star decompositions, each covering E(K_n) in exactly n(n-1)/2 slots
 VALID_CLAIMS = {
     "staircase": lambda: staircase(7),
     "k27": lambda: k27().decomposition,
@@ -201,7 +201,7 @@ VALID_CLAIMS = {
 
 @st.composite
 def slot_preserving_mutants(draw):
-    """A valid claim with one change that keeps its slot total, so the bulk pass must catch it."""
+    """A valid claim with one change that keeps its slot total, so a slot count alone cannot catch it."""
     d = VALID_CLAIMS[draw(st.sampled_from(sorted(VALID_CLAIMS)))]()
     forests = [[(s.center, list(s.leaves)) for s in f.stars] for f in d.forests]
     fi = draw(st.integers(0, len(forests) - 1))
@@ -266,7 +266,7 @@ def test_bulk_pass_edge_cases(d):
 
 
 def test_complete_cover_missing_edges_equal_either_form():
-    bulk = validate_decomposition(staircase(5)).coverage.missing  # the bulk pass's complete form
+    bulk = validate_decomposition(staircase(5)).coverage.missing  # a valid claim's complete cover
     stray = Decomposition(n=5, k=1, forests=(*staircase(5).forests, StarForest((Star(0, (7,)),))))
     walked = validate_decomposition(stray).coverage.missing  # the walk: full cover, one malformed star
     assert (bulk.size, len(bulk), bool(bulk), tuple(bulk), list(bulk.rows())) == (0, 0, False, (), [])
