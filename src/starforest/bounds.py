@@ -10,7 +10,7 @@ exhaustive search when enabled), never from a bare formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import PreconditionError
 # bound_report looks each builder up by name in this module's globals, so a
@@ -104,8 +104,7 @@ def safe_lower_bound(n: int, k: int) -> tuple[int, str]:
     return max(candidates, key=lambda c: c[0])
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     n: int
     k: int
     lower: int

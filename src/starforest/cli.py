@@ -332,8 +332,8 @@ _COMMANDS = {
         ("--n", dict(type=int, required=True)),
         ("--k", dict(type=int, required=True)),
         ("--max-forests", dict(type=int, default=None, help="decide existence for this forest budget instead of minimizing")),
-        ("--max-nodes", dict(type=int, default=SearchBudget.max_nodes)),
-        ("--timeout", dict(type=float, default=SearchBudget.wall_time)),
+        ("--max-nodes", dict(type=int, default=SearchBudget().max_nodes)),
+        ("--timeout", dict(type=float, default=SearchBudget().wall_time)),
         ("--cert", dict(help="write the found certificate here")),
         ("--json", dict(action="store_true")),
     )),

@@ -11,7 +11,6 @@ leaf, which can only shrink or drop a star, so component bounds survive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Callable, NamedTuple
 
@@ -30,9 +29,26 @@ RawStar = tuple[int, list[int]]
 RawForest = list[RawStar]
 
 
-@dataclass(frozen=True, kw_only=True)
-class ConstructionOutput(DecompositionFile):
-    raw_edge_slots: tuple[int, ...]  # pre-dedup leaf count per forest
+class ConstructionOutput(NamedTuple("ConstructionOutput", [
+        ("decomposition", Decomposition), ("family", str | None), ("provenance", tuple[str | None, ...]),
+        ("raw_duplicates", tuple[Edge, ...]), ("meta", dict[str, str]), ("raw_edge_slots", tuple[int, ...])]),
+        DecompositionFile):
+    """A builder's ``DecompositionFile``, validated by ``_finalize``, with a sixth
+    field ``raw_edge_slots``: the pre-dedup leaf count per forest.  The first
+    base gives the six fields, ``repr`` and ``_replace``; the second ``hash``."""
+
+    __slots__ = ()
+
+    def __new__(cls, decomposition: Decomposition, family: str | None = None, provenance: tuple[str | None, ...] = (),
+                raw_duplicates: tuple[Edge, ...] = (), meta: dict[str, str] | None = None, *,
+                raw_edge_slots: tuple[int, ...]) -> ConstructionOutput:
+        base = DecompositionFile(decomposition, family, provenance, raw_duplicates, meta)
+        return tuple.__new__(cls, (*base, raw_edge_slots))
+
+    @classmethod
+    def _make(cls, fields) -> ConstructionOutput:
+        *base, raw_edge_slots = fields
+        return cls(*base, raw_edge_slots=raw_edge_slots)
 
     @property
     def forest_count(self) -> int:
@@ -118,7 +134,7 @@ def broken_double_star(t: int) -> ConstructionOutput:
     named = _double_star_forests(t)
     named.append(("matching", [(i, [i + t]) for i in range(t)]))
     out = _finalize(2 * t, t, named, family="bds", expect_exact=True)
-    return replace(out, meta={"matching": " ".join(f"{i}-{i + t}" for i in range(t))})
+    return out._replace(meta={"matching": " ".join(f"{i}-{i + t}" for i in range(t))})
 
 
 def conjecture_construction(n: int, k: int) -> ConstructionOutput:
@@ -142,7 +158,7 @@ def f2_construction(n: int) -> ConstructionOutput:
     """ceil(3n/4) two-star forests for even n: the k=2 matching completion."""
     if n % 2 == 1 or n < 4:
         raise PreconditionError("needs an even n >= 4")
-    return replace(conjecture_construction(n, 2), family="f2")
+    return conjecture_construction(n, 2)._replace(family="f2")
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +234,7 @@ def k16() -> ConstructionOutput:
     name.  The raw tables place 128 edge slots; the eight diagonal edges
     P(i)P(i+2) of the four blocks are each placed twice and deduplicated.
     """
-    return replace(k4_construction(1), family="k16")
+    return k4_construction(1)._replace(family="k16")
 
 
 def k4_construction(m: int) -> ConstructionOutput:
@@ -412,7 +428,7 @@ def f3_construction(n: int) -> ConstructionOutput:
     """5n/9 three-star forests for any positive multiple of 27, by blowing up k27."""
     if n < 27 or n % 27 != 0:
         raise PreconditionError("needs a positive multiple of 27")
-    return replace(blowup(k27(), n // 27), family="f3")
+    return blowup(k27(), n // 27)._replace(family="f3")
 
 
 class Family(NamedTuple):

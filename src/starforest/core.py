@@ -7,7 +7,7 @@ attached through :class:`LabelScheme`; they never change how edges are stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 Edge = tuple[int, int]
 
@@ -50,36 +50,41 @@ def complete_graph_edges(n: int) -> list[Edge]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
-@dataclass(frozen=True)
-class Star:
+class CheckedRecord:
+    """Base of a record whose ``__new__`` checks its fields: ``_make``, so ``_replace``, builds through it."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
+class Star(CheckedRecord, NamedTuple("Star", [("center", int), ("leaves", tuple[int, ...])])):
     """One center adjacent to every leaf.  Leaf order is preserved."""
 
-    center: int
-    leaves: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        leaves = self.leaves
+    def __new__(cls, center: int, leaves: tuple[int, ...]) -> Star:
         if type(leaves) is not tuple:
             leaves = tuple(leaves)
-            object.__setattr__(self, "leaves", leaves)
         # the common case in one test: a leaf, no negative id and no vertex twice
-        if leaves and self.center >= 0 and min(leaves) >= 0 and len({self.center, *leaves}) == len(leaves) + 1:
-            return
-        if self.center < 0 or (self.leaves and min(self.leaves) < 0):
-            raise MalformedStarError(f"negative vertex id in star centered at {self.center}")
-        if not self.leaves:
-            raise MalformedStarError(f"star centered at {self.center} has no leaves")
-        if self.center in self.leaves:
-            raise MalformedStarError(f"star with center {self.center} lists the center as a leaf")
-        if len(set(self.leaves)) != len(self.leaves):
-            raise MalformedStarError(f"star with center {self.center} repeats a leaf")
+        if not (leaves and center >= 0 and min(leaves) >= 0 and len({center, *leaves}) == len(leaves) + 1):
+            if center < 0 or (leaves and min(leaves) < 0):
+                raise MalformedStarError(f"negative vertex id in star centered at {center}")
+            if not leaves:
+                raise MalformedStarError(f"star centered at {center} has no leaves")
+            if center in leaves:
+                raise MalformedStarError(f"star with center {center} lists the center as a leaf")
+            if len(set(leaves)) != len(leaves):
+                raise MalformedStarError(f"star with center {center} repeats a leaf")
+        return tuple.__new__(cls, (center, leaves))
 
     def edges(self) -> list[Edge]:
         return [make_edge(self.center, leaf) for leaf in self.leaves]
 
 
-@dataclass(frozen=True)
-class StarForest:
+class StarForest(CheckedRecord, NamedTuple("StarForest", [("stars", tuple[Star, ...])])):
     """Disjoint union of stars.
 
     Disjointness of the component stars is *not* enforced on construction so
@@ -87,10 +92,10 @@ class StarForest:
     and the validator reject overlaps.
     """
 
-    stars: tuple[Star, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "stars", tuple(self.stars))
+    def __new__(cls, stars: tuple[Star, ...]) -> StarForest:
+        return tuple.__new__(cls, (tuple(stars),))
 
     @property
     def centers(self) -> tuple[int, ...]:
@@ -120,8 +125,7 @@ def forest_edges(forest: StarForest) -> list[Edge]:
 _SCHEME_NAMES = ("plain", "f3cube", "block12m4")
 
 
-@dataclass(frozen=True)
-class LabelScheme:
+class LabelScheme(CheckedRecord, NamedTuple("LabelScheme", [("name", str), ("param", int | None)])):
     """Bijection between integer vertex ids and human-readable labels.
 
     * ``plain``      -- labels are the ids themselves, any n.
@@ -130,17 +134,17 @@ class LabelScheme:
       A_x(i) -> 12x+i, B_x(i) -> 12x+4+i, C_x(i) -> 12x+8+i, n = 12m+4.
     """
 
-    name: str
-    param: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.name not in _SCHEME_NAMES:
-            raise LabelSchemeError(f"unknown label scheme {self.name!r}")
-        if self.name == "block12m4":
-            if self.param is None or self.param < 1:
+    def __new__(cls, name: str, param: int | None = None) -> LabelScheme:
+        if name not in _SCHEME_NAMES:
+            raise LabelSchemeError(f"unknown label scheme {name!r}")
+        if name == "block12m4":
+            if param is None or param < 1:
                 raise LabelSchemeError("block12m4 needs a block parameter m >= 1")
-        elif self.param is not None:
-            raise LabelSchemeError(f"label scheme {self.name!r} takes no parameter")
+        elif param is not None:
+            raise LabelSchemeError(f"label scheme {name!r} takes no parameter")
+        return tuple.__new__(cls, (name, param))
 
     def expected_n(self) -> int | None:
         if self.name == "f3cube":
@@ -162,24 +166,22 @@ class LabelScheme:
         return str(v)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(CheckedRecord, NamedTuple("Decomposition", [
+        ("n", int), ("k", int), ("forests", tuple[StarForest, ...]), ("labels", LabelScheme | None)])):
     """Claimed partition of E(K_n) into star forests with at most k stars each.
 
     The claim is checked by ``verify.validate_decomposition``, not here.
     """
 
-    n: int
-    k: int
-    forests: tuple[StarForest, ...]
-    labels: LabelScheme | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "forests", tuple(self.forests))
-        if self.n < 1:
+    def __new__(cls, n: int, k: int, forests: tuple[StarForest, ...], labels: LabelScheme | None = None) -> Decomposition:
+        forests = tuple(forests)
+        if n < 1:
             raise PreconditionError("decomposition needs at least one vertex")
-        if self.k < 1:
+        if k < 1:
             raise PreconditionError("component bound k must be at least 1")
+        return tuple.__new__(cls, (n, k, forests, labels))
 
     @property
     def forest_count(self) -> int:

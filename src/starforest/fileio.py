@@ -38,9 +38,10 @@ only to word an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import (
+    CheckedRecord,
     Decomposition,
     DecompositionError,
     Edge,
@@ -62,19 +63,27 @@ class ParseError(DecompositionError):
     pass
 
 
-@dataclass(frozen=True)
-class DecompositionFile:
-    """A decomposition with its header; empty ``provenance`` = unnamed forests."""
+class DecompositionFile(CheckedRecord, NamedTuple("DecompositionFile", [
+        ("decomposition", Decomposition), ("family", str | None), ("provenance", tuple[str | None, ...]),
+        ("raw_duplicates", tuple[Edge, ...]), ("meta", dict[str, str])])):
+    """A decomposition with its header; empty ``provenance`` = unnamed forests.
 
-    decomposition: Decomposition
-    family: str | None = None
-    provenance: tuple[str | None, ...] = ()  # forest index -> forest name
-    raw_duplicates: tuple[Edge, ...] = ()  # edges the builder's raw tables placed twice
-    meta: dict[str, str] = field(default_factory=dict, hash=False)  # a dict is unhashable
+    ``provenance`` maps forest index -> forest name, ``raw_duplicates`` holds
+    the edges the builder's raw tables placed twice, and ``meta`` is a fresh
+    dict unless one is given.  ``==`` compares every field; ``hash`` leaves
+    ``meta`` out.
+    """
 
-    def __post_init__(self) -> None:
-        if self.provenance and len(self.provenance) != self.decomposition.forest_count:
+    __slots__ = ()
+
+    def __new__(cls, decomposition: Decomposition, family: str | None = None, provenance: tuple[str | None, ...] = (),
+                raw_duplicates: tuple[Edge, ...] = (), meta: dict[str, str] | None = None) -> DecompositionFile:
+        if provenance and len(provenance) != decomposition.forest_count:
             raise DecompositionError("provenance length must match the forest count")
+        return tuple.__new__(cls, (decomposition, family, provenance, raw_duplicates, {} if meta is None else meta))
+
+    def __hash__(self) -> int:
+        return hash(self[:4] + self[5:])  # every field but meta, a subclass's too
 
 
 def _header_text(what: str, text: str) -> str:

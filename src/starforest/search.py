@@ -92,11 +92,11 @@ from __future__ import annotations
 
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .bounds import safe_lower_bound
-from .core import Decomposition, PreconditionError, Star, StarForest, complete_graph_edges
+from .core import CheckedRecord, Decomposition, PreconditionError, Star, StarForest, complete_graph_edges
 from .verify import validate_decomposition
 
 
@@ -106,18 +106,16 @@ class SearchStatus(Enum):
     BUDGET_EXCEEDED = "budget-exceeded"
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    max_nodes: int = 50_000_000
-    wall_time: float = 600.0
+class SearchBudget(CheckedRecord, NamedTuple("SearchBudget", [("max_nodes", int), ("wall_time", float)])):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.max_nodes > 0 and self.wall_time > 0):  # also rejects NaN
+    def __new__(cls, max_nodes: int = 50_000_000, wall_time: float = 600.0) -> SearchBudget:
+        if not (max_nodes > 0 and wall_time > 0):  # also rejects NaN
             raise PreconditionError("budget fields must be positive")
+        return tuple.__new__(cls, (max_nodes, wall_time))
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     status: SearchStatus
     certificate: Decomposition | None
     nodes_explored: int
@@ -287,8 +285,10 @@ def hypergraph_exists(n: int, k: int, m: int, budget: SearchBudget | None = None
     center in C_f, so at most k of them.  The search enumerates C_1..C_m by
     five rules:
 
-    1. sizes are nonincreasing and at least 1, since forests are
-       interchangeable and a forest with no edge may take any one center;
+    1. sizes are nonincreasing, at least 1 and at most max(1, n // 2),
+       since forests are interchangeable, a forest with no edge may take any
+       one center, and the stars of a forest are disjoint and have at least
+       two vertices each;
     2. C_f takes a prefix of each class of vertices that lie in the same sets
        among C_1..C_{f-1}: a permutation within the classes fixes those sets
        and can turn C_f's share of each class into a prefix;
@@ -361,7 +361,7 @@ def _hypergraph(n: int, k: int, m: int, max_nodes: int, deadline: float, nodes: 
         return False
 
     try:
-        found = place(0, [list(range(n))], min(k, n), m * n - len(edges))
+        found = place(0, [list(range(n))], min(k, max(1, n // 2)), m * n - len(edges))
     except (_BudgetStop, RecursionError):
         return SearchResult(SearchStatus.BUDGET_EXCEEDED, None, nodes)
     if not found:
@@ -428,8 +428,7 @@ def _leaf_cover(edges: list[tuple[int, int]], member: list[int]) -> dict[int, in
     return owner
 
 
-@dataclass(frozen=True)
-class FExactResult:
+class FExactResult(NamedTuple):
     status: SearchStatus  # FOUND once the minimum is pinned, else BUDGET_EXCEEDED
     value: int | None
     certificate: Decomposition | None

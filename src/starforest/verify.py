@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, filterfalse, repeat
+from typing import NamedTuple
 
 from .core import (
     Decomposition,
@@ -88,8 +88,7 @@ class MissingEdges:
         return f"MissingEdges(n={self.n}, size={self.size})"
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(NamedTuple):
     """How a claim covers E(K_n).
 
     ``missing`` is lazy (see ``MissingEdges``): iterate it for the edges, read
@@ -104,8 +103,7 @@ class CoverageReport:
     duplicated: tuple[tuple[Edge, int], ...]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     malformed: tuple[str, ...]
     k_violations: tuple[int, ...]
@@ -178,10 +176,8 @@ def validate_decomposition(d: Decomposition) -> ValidationReport:
     return ValidationReport(ok=ok, malformed=tuple(malformed), k_violations=k_violations, coverage=coverage)
 
 
-@dataclass(frozen=True)
-class RootHypergraph:
-    n: int
-    hyperedges: tuple[frozenset[int], ...]
+class RootHypergraph(NamedTuple("RootHypergraph", [("n", int), ("hyperedges", tuple[frozenset[int], ...])])):
+    # no __slots__: cached_property keeps its value in the instance __dict__
 
     @property
     def m(self) -> int:
@@ -198,11 +194,9 @@ def root_hypergraph(d: Decomposition) -> RootHypergraph:
     return RootHypergraph(d.n, tuple(frozenset(f.centers) for f in d.forests))
 
 
-@dataclass(frozen=True)
-class IsolationReport:
-    applicable: bool  # only forced when m < n-1
-    ok: bool
-    hypergraph: RootHypergraph  # the report compares and hashes by it
+class IsolationReport(NamedTuple("IsolationReport", [
+        ("applicable", bool), ("ok", bool), ("hypergraph", RootHypergraph)])):
+    """``applicable``: only forced when m < n-1.  The report compares and hashes by ``hypergraph``."""
 
     @cached_property
     def isolated(self) -> tuple[int, ...]:
@@ -216,8 +210,7 @@ def check_no_isolated(rh: RootHypergraph) -> IsolationReport:
     return IsolationReport(applicable=applicable, ok=not applicable or len(rh.degree) == rh.n, hypergraph=rh)
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(NamedTuple):
     m: int
     r: int  # number of size-2 hyperedges
     p: dict[int, int]  # degree (>= 1) -> vertex count
@@ -248,8 +241,7 @@ def degree_profile(rh: RootHypergraph) -> DegreeProfile:
     return DegreeProfile(m=rh.m, r=r, p=p, isolated=rh.n - len(degree), degree_sum=degree_sum)
 
 
-@dataclass(frozen=True)
-class CountingReport:
+class CountingReport(NamedTuple):
     lhs: int  # 2*p1 - r, lower bound on the bipartite edge count
     rhs: int  # p2 + sum_{j>=3} j*p_j, upper bound on the bipartite edge count
     slack: int
@@ -300,8 +292,7 @@ def check_counting_inequality(rh: RootHypergraph) -> CountingReport:
     )
 
 
-@dataclass(frozen=True)
-class Degree1PlacementReport:
+class Degree1PlacementReport(NamedTuple):
     ok: bool
     # hyperedges containing two degree-1 vertices: (forest index, offending vertices)
     shared_degree1: tuple[tuple[int, tuple[int, ...]], ...]

@@ -13,7 +13,6 @@ assertion is kept verbatim rather than weakened."""
 import io
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -118,7 +117,7 @@ def test_criterion_3_k4_family():
         assert one.decomposition == golden.decomposition
         assert one.provenance == golden.provenance
         assert one.raw_duplicates == golden.raw_duplicates
-        assert k16() == replace(one, family="k16")
+        assert k16() == one._replace(family="k16")
 
 
 def test_criterion_4_blowup():

@@ -126,10 +126,9 @@ def test_bound_report_no_construction_for_k1():
 def test_bound_report_rejects_valueless_search_result_under_optimize(run_optimized):
     # the FOUND-implies-value check must not vanish with `python -O`
     proc = run_optimized(
-        "import dataclasses\n"
         "from starforest import bound_report, search\n"
         "real = search.f_exact\n"
-        "search.f_exact = lambda n, k, budget=None: dataclasses.replace(real(n, k, budget), value=None)\n"
+        "search.f_exact = lambda n, k, budget=None: real(n, k, budget)._replace(value=None)\n"
         "bound_report(4, 2, budget=search.SearchBudget())\n"
     )
     assert proc.returncode != 0

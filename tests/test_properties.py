@@ -3,7 +3,6 @@ produce: all constructed families plus the small optima found by exhaustive
 search.  Any violation here falsifies the counting machinery and must fail
 the build."""
 
-import dataclasses
 from functools import lru_cache
 from itertools import islice
 
@@ -63,7 +62,7 @@ def permute(d: Decomposition, perm: list[int]) -> Decomposition:
         StarForest(tuple(Star(perm[s.center], tuple(perm[v] for v in s.leaves)) for s in f.stars))
         for f in d.forests
     )
-    return dataclasses.replace(d, forests=forests, labels=None)
+    return d._replace(forests=forests, labels=None)
 
 
 @pytest.mark.parametrize("name,d", corpus(), ids=[n for n, _ in corpus()])

@@ -588,6 +588,16 @@ def test_hypergraph_engine_exhausts_9_2_6_within_a_second():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("n,k,m,placements", [(7, 7, 5, 39), (8, 7, 6, 203)])
+def test_hypergraph_engine_caps_center_sets_at_half_of_n(n, k, m, placements):
+    # the stars of a forest are disjoint with at least two vertices each, so
+    # rule 1 caps every center set at n // 2; a cap of min(k, n) took 6,110
+    # and 36,403 placements here
+    res = hypergraph_exists(n, k, m)
+    assert (res.status, res.nodes_explored) == (SearchStatus.FOUND, placements)
+    assert validate_decomposition(res.certificate).ok
+
+
 @pytest.mark.parametrize("k,placements", [(2, 124), (3, 2903)])
 def test_n8_m5_exhausts_through_exists_decomposition(k, placements):
     # the backtracker alone needs 3,679,924 and 13,497,802 nodes for these

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import random
@@ -63,7 +62,7 @@ def test_validate_detects_single_missing_edge():
     star = d.forests[0].stars[0]
     smaller = Star(star.center, star.leaves[:-1])
     forests = (StarForest((smaller,) + d.forests[0].stars[1:]),) + d.forests[1:]
-    rep = validate_decomposition(dataclasses.replace(d, forests=forests))
+    rep = validate_decomposition(d._replace(forests=forests))
     assert not rep.ok
     assert len(rep.coverage.missing) == 1
     assert not rep.coverage.duplicated
@@ -228,7 +227,7 @@ def slot_preserving_mutants(draw):
         assume(len(forests) >= 2)
         forests[fi - 1] += forests.pop(fi)
     stars = (tuple(Star(c, tuple(ls)) for c, ls in f if ls) for f in forests)
-    return dataclasses.replace(d, forests=tuple(map(StarForest, stars)))
+    return d._replace(forests=tuple(map(StarForest, stars)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -413,7 +412,7 @@ def relabeled(d: Decomposition, rng: random.Random) -> Decomposition:
         rng.shuffle(stars)
         forests.append(StarForest(tuple(stars)))
     rng.shuffle(forests)
-    return dataclasses.replace(d, forests=tuple(forests))
+    return d._replace(forests=tuple(forests))
 
 
 def test_broken_double_star_recognizer_survives_relabeling():
