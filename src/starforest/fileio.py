@@ -16,24 +16,24 @@ The format is line oriented and human auditable::
 
 Parsing is strict: unknown directives, a repeated header line or meta key,
 out-of-range vertices, repeated leaves or a center listed among its own leaves
-are rejected with the offending line number.  ``parse(serialize(f)) == f``
-for a ``DecompositionFile`` f, including forest and leaf order, forest names
-and metadata: ``serialize`` rejects a family, forest name, meta key or meta
-value that is empty, has leading or trailing whitespace or a line break (what
+are rejected with the offending line number.  ``parse(serialize(f))`` equals
+``DecompositionFile(*f[:5])``, so a builder's ``ConstructionOutput`` reads back
+as its first five fields, including forest and leaf order, forest names and
+metadata: ``serialize`` rejects a family, forest name, meta key or meta value
+that is empty, has leading or trailing whitespace or a line break (what
 ``str.splitlines`` splits on), and a meta key with any whitespace.
 
-An integer token may have at most 640 characters, the least limit CPython
-lets ``sys.set_int_max_str_digits`` set, so ``int()`` reads it under any
-setting; under the default of 4300 digits, ``str()`` also writes n(n-1)/2.
+An integer is 1 to 640 ASCII digits, or ``-0`` for 0 outside a ``duplicates``
+line.  640 is the least limit CPython lets ``sys.set_int_max_str_digits`` set,
+so ``int()`` reads it under any setting; under the default of 4300 digits,
+``str()`` also writes n(n-1)/2.
 
-A star line's vertex tokens are read through a per-file table from token to
-id.  A token not yet in it is entered when it is at most 640 ASCII digits
-naming a vertex below n, so a decomposition, whose vertices recur on line
-after line, checks each spelling once.  A line with any other token is
-re-read token by token, so an error and its line number do not depend on the
-table.  The table holds only tokens that appear in the input, never anything
-of size n.  A ``duplicates`` line is checked at once, and token by token
-only to word an error.
+The vertex tokens of star and ``duplicates`` lines are read through a per-file
+table from token to id.  A token not yet in it is entered when it is an integer
+below n, so a decomposition, whose vertices recur on line after line, checks
+each spelling once.  A line with any other token, or read before n, is re-read
+token by token, so an error and its line number do not depend on the table.
+The table holds only tokens that appear in the input, never anything of size n.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from .core import (
 FORMAT_VERSION = 1
 _HEADER = f"decomposition v{FORMAT_VERSION}"
 _ONCE = frozenset({"n", "k", "labels", "family", "duplicates"})  # header lines that may not repeat
-_NO_DIGITS = str.maketrans("", "", "0123456789")
 _MAX_DIGITS = 640  # the most characters an integer token may have, see above
 
 
@@ -115,25 +114,28 @@ def serialize(f: DecompositionFile) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ascii_int(token: str) -> int | None:
+    """``int(token)`` if ``token`` is 1 to 640 ASCII digits, else None; ``int()`` alone also takes '+2' or '1_0'."""
+    return int(token) if token.isdigit() and token.isascii() and len(token) <= _MAX_DIGITS else None
+
+
 def _parse_int(token: str, lineno: int, what: str) -> int:
     if len(token) > _MAX_DIGITS:
         raise ParseError(f"line {lineno}: {what} has {len(token)} characters, more than {_MAX_DIGITS}")
-    # ASCII -?[0-9]+ only: int() alone also takes '1_0', '+2' and non-ASCII digits
-    if token.isdigit() and token.isascii():
-        return int(token)
-    if not (token[:1] == "-" and token[1:].isdigit() and token.isascii()):
+    if (value := _ascii_int(token)) is not None:
+        return value
+    if token[:1] != "-" or (value := _ascii_int(token[1:])) is None:
         raise ParseError(f"line {lineno}: {what} must be an integer, got {token!r}")
-    value = int(token)  # -0 reads as 0
-    if value < 0:
-        raise ParseError(f"line {lineno}: {what} must be non-negative, got {value}")
-    return value
+    if value:
+        raise ParseError(f"line {lineno}: {what} must be non-negative, got {-value}")
+    return 0  # -0 reads as 0
 
 
 class _VertexIds(dict[str, int]):
-    """Vertex token -> id, for the tokens of 0..n-1 in at most 640 ASCII digits, entered as a star line reads them.
+    """Vertex token -> id, for the integer tokens of 0..n-1, entered as a star or ``duplicates`` line reads them.
 
     A token of any other form raises ``KeyError`` and is not entered, so its
-    line is re-read by ``_star_vertices``, which words the error.
+    line is re-read token by token, which words the error.
     """
 
     def __init__(self, n: int) -> None:
@@ -141,7 +143,7 @@ class _VertexIds(dict[str, int]):
         self.n = n
 
     def __missing__(self, token: str) -> int:
-        if not (token.isdigit() and token.isascii()) or len(token) > _MAX_DIGITS or (v := int(token)) >= self.n:
+        if (v := _ascii_int(token)) is None or v >= self.n:
             raise KeyError(token)
         self[token] = v
         return v
@@ -157,16 +159,14 @@ def _star_vertices(tokens: list[str], lineno: int, n: int) -> tuple[int, tuple[i
     return center, leaves
 
 
-def _duplicate_edges(tokens: list[str], lineno: int) -> list[Edge]:
-    """The edges of a ``duplicates`` line, each ``u-v`` with u < v."""
-    text, m = " ".join(tokens[1:]), len(tokens) - 1
-    ends = text.replace("-", " ").split()
-    # each token is one dash with ASCII digits on both sides of it, and nothing else
-    if (text.translate(_NO_DIGITS) == " ".join("-" * m) and len(ends) == 2 * m
-            and max(map(len, ends), default=0) <= _MAX_DIGITS):
-        edges = list(zip(map(int, ends[::2]), map(int, ends[1::2])))
+def _duplicate_edges(tokens: list[str], lineno: int, ids: _VertexIds) -> list[Edge]:
+    """The edges of a ``duplicates`` line, each ``u-v`` with u < v; a vertex >= n is left to ``parse``."""
+    try:
+        edges = [(ids[u], ids[v]) for u, v in (token.split("-") for token in tokens[1:])]
         if all(u < v for u, v in edges):
             return edges
+    except (KeyError, ValueError):  # a bad token, one out of range, or a line before n
+        pass
     edges = []  # read token by token for the error's wording
     for token in tokens[1:]:
         parts = token.split("-")
@@ -195,7 +195,7 @@ def parse(text: str) -> DecompositionFile:
     names: list[str | None] = []
     seen: set[str] = set()
     dup_lineno = 0
-    ids = _VertexIds(0)  # set anew once n is read; no star line comes before it
+    ids = _VertexIds(0)  # set anew once n is read; before it every token misses
 
     for lineno, rawline in enumerate(lines[1:], start=2):
         line = rawline.strip()
@@ -223,15 +223,14 @@ def parse(text: str) -> DecompositionFile:
             if directive in seen:
                 raise ParseError(f"line {lineno}: {directive} given twice")
             seen.add(directive)
-        if directive == "n":
-            n = _parse_int(tokens[1], lineno, "n") if len(tokens) == 2 else None
-            if n is None or n < 1:
-                raise ParseError(f"line {lineno}: expected 'n <positive integer>'")
-            ids = _VertexIds(n)
-        elif directive == "k":
-            k = _parse_int(tokens[1], lineno, "k") if len(tokens) == 2 else None
-            if k is None or k < 1:
-                raise ParseError(f"line {lineno}: expected 'k <positive integer>'")
+        if directive in ("n", "k"):
+            value = _parse_int(tokens[1], lineno, directive) if len(tokens) == 2 else None
+            if value is None or value < 1:
+                raise ParseError(f"line {lineno}: expected '{directive} <positive integer>'")
+            if directive == "n":
+                n, ids = value, _VertexIds(value)
+            else:
+                k = value
         elif directive == "labels":
             if len(tokens) not in (2, 3):
                 raise ParseError(f"line {lineno}: expected 'labels <scheme> [param]'")
@@ -252,7 +251,7 @@ def parse(text: str) -> DecompositionFile:
             meta[tokens[1]] = line.split(None, 2)[2]
         elif directive == "duplicates":
             dup_lineno = lineno
-            duplicates = _duplicate_edges(tokens, lineno)
+            duplicates = _duplicate_edges(tokens, lineno, ids)
         elif directive == "forest":
             forests.append([])
             names.append(line.split(None, 1)[1] if len(tokens) > 1 else None)

@@ -139,11 +139,11 @@ def exists_decomposition(n: int, k: int, m: int, budget: SearchBudget | None = N
     budget = budget or SearchBudget()
     max_nodes = budget.max_nodes
     deadline = time.monotonic() + budget.wall_time
-    if m >= n - 1 or max_nodes < _ALLOWANCE:
+    if m >= n - 1:
         return _backtrack(n, k, m, max_nodes, deadline, 0)
-    res = _backtrack(n, k, m, _ALLOWANCE, deadline, 0)
+    res = _backtrack(n, k, m, min(_ALLOWANCE, max_nodes), deadline, 0)
     if res.status is not SearchStatus.BUDGET_EXCEEDED or res.nodes_explored < _ALLOWANCE:
-        return res  # decided within the allowance, or stopped by Python's recursion limit
+        return res  # decided, or stopped by a smaller budget, the clock or Python's recursion limit
     res = _hypergraph(n, k, m, max_nodes, deadline, _ALLOWANCE)
     if res.status is not SearchStatus.FOUND:
         return res

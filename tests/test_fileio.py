@@ -29,6 +29,7 @@ GOLDEN = Path(__file__).parent / "golden"
 def roundtrip(out):
     text = serialize(out)
     f = parse(text)
+    assert f == DecompositionFile(*out[:5])  # a builder's ConstructionOutput reads back as its first five fields
     assert f.decomposition == out.decomposition
     assert f.family == out.family
     assert f.provenance == out.provenance
@@ -157,10 +158,13 @@ def test_parse_reports_first_out_of_range_vertex(star, vertex):
 
 
 def test_parse_reuses_read_tokens_with_their_values():
-    # '007' enters the token table under its own spelling; '-0' stays out and is re-read on each line
-    d = parse("decomposition v1\nn 8\nk 2\nforest\nstar -0 : 007 1\nstar 2 : 3\n"
-              "forest\nstar 007 : -0 3\nstar 1 : 2\n").decomposition
-    assert [(s.center, s.leaves) for f in d.forests for s in f.stars] == [(0, (7, 1)), (2, (3,)), (7, (0, 3)), (1, (2,))]
+    # the duplicates line enters '007' in the token table under its own spelling, and the last star line
+    # reads it from there; '-0' stays out and is re-read on each line
+    f = parse("decomposition v1\nn 8\nk 2\nduplicates 1-007\nforest\nstar -0 : 007 1\nstar 2 : 3\n"
+              "forest\nstar 007 : -0 3\nstar 1 : 2\nforest\nstar 007 : 1\n")
+    assert f.raw_duplicates == ((1, 7),)
+    assert [(s.center, s.leaves) for fo in f.decomposition.forests for s in fo.stars] == [
+        (0, (7, 1)), (2, (3,)), (7, (0, 3)), (1, (2,)), (7, (1,))]
 
 
 @pytest.mark.parametrize("later, problem", [
@@ -203,23 +207,27 @@ def test_parse_huge_header_builds_nothing_of_size_n():
     ("", ()),
 ])
 def test_parse_reads_duplicate_edges(edges, read):
+    # after n the tokens are read through the vertex table; before n each one misses it and is re-read
     assert parse(f"decomposition v1\nn 12\nk 2\nduplicates {edges}\n").raw_duplicates == read
+    assert parse(f"decomposition v1\nduplicates {edges}\nn 12\nk 2\n").raw_duplicates == read
 
 
 @pytest.mark.parametrize("edges, problem", [
-    ("0-1 12 1-2-3", "line 4: bad edge '12', expected u-v"),  # one dash in all, but not one per edge
-    ("0--1", "line 4: bad edge '0--1', expected u-v"),
-    ("-0-1", "line 4: bad edge '-0-1', expected u-v"),
-    ("0-1 1-", "line 4: duplicate edge endpoint must be an integer, got ''"),
-    ("0-1 +1-2", "line 4: duplicate edge endpoint must be an integer, got '+1'"),
-    ("0-\u0663", "line 4: duplicate edge endpoint must be an integer, got '\u0663'"),
-    ("0-1 2-2", "line 4: edge '2-2' must satisfy u < v"),
-    ("0-1 0-99", "line 4: vertex 99 out of range for n=12"),
+    ("0-1 12 1-2-3", "bad edge '12', expected u-v"),  # one dash in all, but not one per edge
+    ("0--1", "bad edge '0--1', expected u-v"),
+    ("-0-1", "bad edge '-0-1', expected u-v"),
+    ("0-1 1-", "duplicate edge endpoint must be an integer, got ''"),
+    ("0-1 +1-2", "duplicate edge endpoint must be an integer, got '+1'"),
+    ("0-\u0663", "duplicate edge endpoint must be an integer, got '\u0663'"),
+    ("0-1 2-2", "edge '2-2' must satisfy u < v"),
+    ("0-1 0-99", "vertex 99 out of range for n=12"),
 ], ids=["dash-count", "double-dash", "minus-zero", "empty-end", "plus", "arabic-indic", "equal-ends", "out-of-range"])
 def test_parse_duplicate_edge_errors(edges, problem):
-    with pytest.raises(ParseError) as exc:
-        parse(f"decomposition v1\nn 12\nk 2\nduplicates {edges}\n")
-    assert str(exc.value) == problem
+    # the same message whether the line comes after n (the table path) or before it (every token re-read)
+    for lineno, body in ((4, f"n 12\nk 2\nduplicates {edges}\n"), (2, f"duplicates {edges}\nn 12\nk 2\n")):
+        with pytest.raises(ParseError) as exc:
+            parse("decomposition v1\n" + body)
+        assert str(exc.value) == f"line {lineno}: {problem}"
 
 
 # a second single-valued header line or meta key would otherwise win silently
