@@ -205,12 +205,11 @@ def test_search_budget_exit_code(capsys):
 
 
 def test_search_deeper_than_the_recursion_limit_is_budget_exceeded(capsys):
-    # K_50 has 1225 edges and the kernel recurses once per edge; the node count
-    # at the stop depends on the caller's stack depth, so it is not pinned
+    # K_50 has 1225 edges, more than Python's default recursion limit, but the
+    # search recurses once per forest, so it ends on its budget
     rc, out, err = run(capsys, ["search", "--n", "50", "--k", "2", "--max-forests", "40",
-                                "--max-nodes", "100000"])
-    assert (rc, err) == (3, "")
-    assert out.startswith("status: budget-exceeded (nodes=")
+                                "--max-nodes", "10000"])
+    assert (rc, out, err) == (3, "status: budget-exceeded (nodes=10000)\n", "")
 
 
 def test_bounds_with_search_deeper_than_the_recursion_limit_keeps_the_row(capsys):
@@ -222,7 +221,7 @@ def test_bounds_with_search_deeper_than_the_recursion_limit_keeps_the_row(capsys
 
 def test_search_timeout_stops_at_the_first_deadline_check(capsys):
     # the deadline is read every 4096 nodes, first at node 4096; (10, 2, 7)
-    # needs 1024 backtracker nodes and 19331 center-set placements
+    # needs 19331 center-set placements
     rc, out, _ = run(capsys, ["search", "--n", "10", "--k", "2", "--max-forests", "7",
                               "--timeout", "1e-9", "--json"])
     assert (rc, json.loads(out)) == (3, {"nodes": 4096, "status": "budget-exceeded"})
@@ -236,10 +235,9 @@ def test_search_star_count_refutes_at_the_root(capsys):
 
 
 def test_search_settles_n_minus_1_when_the_budget_ends_there(capsys):
-    # the backtracker's allowance of 1024 nodes, then 407 center-set
-    # placements, exhaust m=5; F_2(7) = 6 then needs no search
-    assert run(capsys, ["search", "--n", "7", "--k", "2", "--max-nodes", "1431"]) == (
-        0, "F_2(7) = 6 (nodes=1431)\n", "")
+    # 407 center-set placements exhaust m=5; F_2(7) = 6 then needs no search
+    assert run(capsys, ["search", "--n", "7", "--k", "2", "--max-nodes", "407"]) == (
+        0, "F_2(7) = 6 (nodes=407)\n", "")
 
 
 def test_search_writes_certificate(capsys, tmp_path):
