@@ -15,7 +15,8 @@ k-star-forests, in one of three ways:
 * otherwise ``hypergraph_exists`` decides it: it enumerates the forests'
   center sets and matches the edges into leaf slots.
 
-A node is one center-set placement.  A search visits at most ``max_nodes``
+A node is one center-set placement, counted also when rule 6 of
+``hypergraph_exists`` then cuts it.  A search visits at most ``max_nodes``
 of them and reports how many it visited: one that needs exactly
 ``max_nodes`` finishes, and the next placement past the budget stops it with
 BUDGET_EXCEEDED.  The clock is read whenever the node count reaches a
@@ -104,7 +105,7 @@ def hypergraph_exists(n: int, k: int, m: int, budget: SearchBudget | None = None
     matching into the leaf slots that covers every edge.  Conversely, such a
     matching makes forest f the stars c: {w : (w, f) holds edge cw}, one per
     center in C_f, so at most k of them.  The search enumerates C_1..C_m by
-    five rules:
+    six rules:
 
     1. sizes are nonincreasing, at least 1 and at most max(1, n // 2),
        since forests are interchangeable, a forest with no edge may take any
@@ -120,7 +121,15 @@ def hypergraph_exists(n: int, k: int, m: int, budget: SearchBudget | None = None
        larger, so the tuple is cut once the vertices in no set exceed that
        allowance plus (sets after C_f) * |C_f|;
     5. each complete tuple is matched by Kuhn's augmenting paths, edges with
-       the fewest slots first.
+       the fewest slots first;
+    6. the n membership masks are pairwise distinct, since edge uv takes a
+       slot (v, f) only with u in C_f and v not, or (u, f) the other way
+       round, so u and v in the same sets leave it none.  Rule 2's classes
+       are the vertices whose masks agree so far.  A later set C_g splits at
+       most |C_g| <= |C_f| classes, each in two, and the later sets hold at
+       most rule 3's room.  So with ``left`` sets after C_f, C_f is cut when
+       the nonempty classes it leaves plus min(left * |C_f|, room after C_f)
+       fall short of n, or when a class holds more than 2 ** left vertices.
 
     A node is one center-set placement, counted and stopped by the budget as
     the module docstring says; a recursion deeper than Python's limit stops
@@ -168,10 +177,14 @@ def hypergraph_exists(n: int, k: int, m: int, budget: SearchBudget | None = None
                 for i, (c, t) in enumerate(zip(classes, counts)):
                     if t:
                         refined.append(c[:t])
-                        for v in c[:t]:
-                            member[v] |= bit
                     if i and t < len(c):
                         refined.append(c[t:])
+                if (len(refined) - (not refined[0]) + min(left * size, room - size) < n
+                        or max(map(len, refined)) > 1 << left):
+                    continue  # rule 6: the masks can no longer all differ
+                for c, t in zip(classes, counts):
+                    for v in c[:t]:
+                        member[v] |= bit
                 if place(f + 1, refined, size, room - size):
                     return True
                 for c, t in zip(classes, counts):
@@ -212,7 +225,9 @@ def _leaf_cover(edges: list[tuple[int, int]], member: list[int]) -> dict[int, in
     """A matching of every edge into the leaf slots, or None (rule 5).
 
     ``member[v]`` has bit f set when v is in C_f.  The matching maps leaf slot
-    (w, f), numbered f * n + w, to the index of the edge it holds.
+    (w, f), numbered f * n + w, to the index of the edge it holds.  An edge
+    with no slot gives None at once; rule 6 keeps equal masks, the only
+    cause, from the engine's tuples, so only direct callers reach it.
     """
     n = len(member)
     slots = []

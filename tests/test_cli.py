@@ -206,10 +206,11 @@ def test_search_budget_exit_code(capsys):
 
 def test_search_deeper_than_the_recursion_limit_is_budget_exceeded(capsys):
     # K_50 has 1225 edges, more than Python's default recursion limit, but the
-    # search recurses once per forest, so it ends on its budget
+    # search recurses once per forest, so it ends on its budget, short of the
+    # 7,062 placements that find (50, 2, 40)
     rc, out, err = run(capsys, ["search", "--n", "50", "--k", "2", "--max-forests", "40",
-                                "--max-nodes", "10000"])
-    assert (rc, out, err) == (3, "status: budget-exceeded (nodes=10000)\n", "")
+                                "--max-nodes", "5000"])
+    assert (rc, out, err) == (3, "status: budget-exceeded (nodes=5000)\n", "")
 
 
 def test_bounds_with_search_deeper_than_the_recursion_limit_keeps_the_row(capsys):
@@ -221,7 +222,7 @@ def test_bounds_with_search_deeper_than_the_recursion_limit_keeps_the_row(capsys
 
 def test_search_timeout_stops_at_the_first_deadline_check(capsys):
     # the deadline is read every 4096 nodes, first at node 4096; (10, 2, 7)
-    # needs 19331 center-set placements
+    # needs 14009 center-set placements
     rc, out, _ = run(capsys, ["search", "--n", "10", "--k", "2", "--max-forests", "7",
                               "--timeout", "1e-9", "--json"])
     assert (rc, json.loads(out)) == (3, {"nodes": 4096, "status": "budget-exceeded"})
@@ -235,9 +236,9 @@ def test_search_star_count_refutes_at_the_root(capsys):
 
 
 def test_search_settles_n_minus_1_when_the_budget_ends_there(capsys):
-    # 407 center-set placements exhaust m=5; F_2(7) = 6 then needs no search
-    assert run(capsys, ["search", "--n", "7", "--k", "2", "--max-nodes", "407"]) == (
-        0, "F_2(7) = 6 (nodes=407)\n", "")
+    # 374 center-set placements exhaust m=5; F_2(7) = 6 then needs no search
+    assert run(capsys, ["search", "--n", "7", "--k", "2", "--max-nodes", "374"]) == (
+        0, "F_2(7) = 6 (nodes=374)\n", "")
 
 
 def test_search_writes_certificate(capsys, tmp_path):

@@ -62,7 +62,7 @@ def _slow(*values, reason):
 
 @pytest.mark.parametrize("n,want", [
     (4, 3), (5, 4), (6, 5), (7, 6), (8, 6), (9, 7), (10, 8),
-    _slow(11, 9, reason="~5s"), _slow(12, 9, reason="~1s"), _slow(13, 10, reason="~20s exhaustion of (13, 2, 9)"),
+    _slow(11, 9, reason="~5s"), _slow(12, 9, reason="~1s"), _slow(13, 10, reason="~5s exhaustion of (13, 2, 9)"),
 ])
 def test_f_exact_two_star_values(n, want):
     # Pach, Saghafian and Schnider proved F_2(n) = ceil(3n/4) for n >= 4
@@ -71,11 +71,12 @@ def test_f_exact_two_star_values(n, want):
     assert validate_decomposition(res.certificate).ok
 
 
-@pytest.mark.parametrize("n,k", [(10, 3), (10, 4), _slow(12, 3, reason="~15s exhaustion of (12, 3, 7)")])
+@pytest.mark.parametrize("n,k", [(10, 3), (10, 4), _slow(12, 3, reason="~2s exhaustion of (12, 3, 7)"),
+                                 _slow(12, 4, reason="~5s exhaustion of (12, 4, 7)")])
 def test_f_exact_meets_n_over_2_plus_2(n, k):
     # the paper's lower bound n/2 + 2 for even n > 2k, which f_exact starts
-    # from, is also the search's: n/2 + 1 forests are exhausted (in 50,434
-    # and 129,188 placements at n = 10), and n/2 + 2 are found
+    # from, is also the search's: n/2 + 1 forests are exhausted (in 20,038
+    # and 39,712 placements at n = 10), and n/2 + 2 are found
     assert exists_decomposition(n, k, n // 2 + 1).status is SearchStatus.EXHAUSTED_NOT_FOUND
     res = f_exact(n, k)
     assert res.value == n // 2 + 2
@@ -83,11 +84,21 @@ def test_f_exact_meets_n_over_2_plus_2(n, k):
 
 
 def test_f_exact_three_stars_at_odd_n():
-    # F_3(9) = 6 meets the conjectured ceil((k+1)n/2k); F_3(11) = 7 falls
-    # one below its 8
+    # F_3(9) = 6 meets the conjectured ceil((k+1)n/2k); F_3(11) = 7, and
+    # F_3(13) = F_4(13) = 8, fall one below it
     assert (f_exact(9, 3).value, conjecture_value(9, 3)) == (6, 6)
-    res = f_exact(11, 3)
-    assert (res.value, conjecture_value(11, 3)) == (7, 8)
+    for n, k, want in ((11, 3, 7), (13, 3, 8), (13, 4, 8)):
+        res = f_exact(n, k)
+        assert (res.value, conjecture_value(n, k)) == (want, want + 1)
+        assert validate_decomposition(res.certificate).ok
+
+
+@pytest.mark.parametrize("k", [_slow(5, reason="~4s"), _slow(6, reason="~4s")])
+def test_f_exact_more_stars_at_13(k):
+    # F_k(13) <= F_4(13) = 8 and the lower bound is 8; the conjectured
+    # ceil((k+1)n/2k) is 8 as well for these k
+    res = f_exact(13, k)
+    assert (res.value, conjecture_value(13, k)) == (8, 8)
     assert validate_decomposition(res.certificate).ok
 
 
@@ -118,11 +129,11 @@ def test_column_rule_prunes_relabelled_columns():
 def test_exists_decomposition_node_counts():
     # center-set placements on the benchmark's instances; F_2(6) = 5 = n-1
     # needs no search
-    exhaustions = {(6, 2, 4): 48, (7, 2, 4): 8, (7, 3, 4): 14, (7, 4, 4): 14, (8, 2, 4): 0}
+    exhaustions = {(6, 2, 4): 35, (7, 2, 4): 4, (7, 3, 4): 5, (7, 4, 4): 5, (8, 2, 4): 0}
     for (n, k, m), nodes in exhaustions.items():
         res = exists_decomposition(n, k, m)
         assert (res.status, res.nodes_explored) == (SearchStatus.EXHAUSTED_NOT_FOUND, nodes)
-    for (n, k), nodes in {(6, 2): 0, (7, 3): 39, (7, 7): 39}.items():
+    for (n, k), nodes in {(6, 2): 0, (7, 3): 11, (7, 7): 11}.items():
         res = f_exact(n, k)
         assert (res.value, res.nodes_explored) == (5, nodes)
 
@@ -162,11 +173,11 @@ def test_f_exact_n7_fast_cases():
 
 def test_f_exact_n7_two_star_slow():
     # the backtracker needs 2,505,094 nodes for m = 5; the search exhausts it
-    # in 407 placements
+    # in 374 placements
     res = f_exact(7, 2)
     assert res.value == 6  # matches ceil(3*7/4)
     assert res.attempts == ((5, SearchStatus.EXHAUSTED_NOT_FOUND),)
-    assert res.nodes_explored == 407
+    assert res.nodes_explored == 374
 
 
 def test_certificates_respect_budgets():
@@ -183,23 +194,23 @@ def test_budget_exceeded_signalling():
 
 
 def test_budget_of_exactly_the_nodes_needed_finds():
-    # (7, 3, 5) is found on its 39th node
-    assert exists_decomposition(7, 3, 5, SearchBudget(max_nodes=39)).status is SearchStatus.FOUND
-    res = exists_decomposition(7, 3, 5, SearchBudget(max_nodes=38))
-    assert (res.status, res.nodes_explored) == (SearchStatus.BUDGET_EXCEEDED, 38)
+    # (7, 3, 5) is found on its 11th node
+    assert exists_decomposition(7, 3, 5, SearchBudget(max_nodes=11)).status is SearchStatus.FOUND
+    res = exists_decomposition(7, 3, 5, SearchBudget(max_nodes=10))
+    assert (res.status, res.nodes_explored) == (SearchStatus.BUDGET_EXCEEDED, 10)
 
 
 def test_wall_time_stops_at_the_first_deadline_check():
     # the deadline is read every 4096 nodes, so even an expired one lets 4096
-    # run: (10, 2, 7) needs 19331 placements to exhaust
+    # run: (10, 2, 7) needs 14009 placements to exhaust
     res = exists_decomposition(10, 2, 7, SearchBudget(wall_time=1e-9))
     assert (res.status, res.certificate, res.nodes_explored) == (SearchStatus.BUDGET_EXCEEDED, None, 4096)
 
 
 def test_wall_time_is_read_at_the_same_node_counts_in_every_stage():
     # a feasible row reads the deadline at the same node counts as an
-    # exhaustion: (9, 4, 7) is found on its 4247th placement
-    res = exists_decomposition(9, 4, 7, SearchBudget(wall_time=1e-9))
+    # exhaustion: (11, 5, 7) is found on its 55178th placement
+    res = exists_decomposition(11, 5, 7, SearchBudget(wall_time=1e-9))
     assert (res.status, res.certificate, res.nodes_explored) == (SearchStatus.BUDGET_EXCEEDED, None, 4096)
 
 
@@ -217,18 +228,18 @@ def staircase(n: int, k: int) -> Decomposition:
 
 
 def test_f_exact_budget_runs_out_inside_and_after_an_exhaustion():
-    # F_2(7) = 6 from the lower bound 5.  Exhausting m=5 takes 407 center-set
-    # placements.  A search visits at most max_nodes nodes: one short of 407
-    # stops inside the exhaustion, and exactly 407 completes it with nothing
+    # F_2(7) = 6 from the lower bound 5.  Exhausting m=5 takes 374 center-set
+    # placements.  A search visits at most max_nodes nodes: one short of 374
+    # stops inside the exhaustion, and exactly 374 completes it with nothing
     # left for m=6, which the staircase of n-1 = 6 stars settles without a search.
-    res = f_exact(7, 2, SearchBudget(max_nodes=406))
+    res = f_exact(7, 2, SearchBudget(max_nodes=373))
     assert res.status is SearchStatus.BUDGET_EXCEEDED
     assert res.attempts == ((5, SearchStatus.BUDGET_EXCEEDED),)
-    assert (res.interval, res.nodes_explored) == ((5, 6), 406)
-    res = f_exact(7, 2, SearchBudget(max_nodes=407))
+    assert (res.interval, res.nodes_explored) == ((5, 6), 373)
+    res = f_exact(7, 2, SearchBudget(max_nodes=374))
     assert (res.status, res.value, res.certificate) == (SearchStatus.FOUND, 6, staircase(7, 2))
     assert res.attempts == ((5, SearchStatus.EXHAUSTED_NOT_FOUND),)
-    assert (res.interval, res.nodes_explored) == ((6, 6), 407)
+    assert (res.interval, res.nodes_explored) == ((6, 6), 374)
 
 
 def test_too_few_centers_exhaust_at_the_root():
@@ -410,7 +421,7 @@ def _small_sweep_digests():
 
 def test_search_sweep_pinned():
     # any change to the enumeration or its pruning moves it
-    assert _small_sweep_digests()[0] == "2dc740ab8901fe6426d1fa962c07780f0e62fc7e46abaadd2b806d34752acf0e"
+    assert _small_sweep_digests()[0] == "7fd146109a8053a1197c838e19ae7e96304b1fc95cdd1f7d0dad9b634d792437"
 
 
 def test_search_sweep_results_pinned():
@@ -580,9 +591,29 @@ def test_center_sets_of_a_decomposition_admit_a_covering_matching(make, flip):
     # default recursion limit
     d = make()
     edges = complete_graph_edges(d.n)
-    cover = search._leaf_cover(edges, _center_sets(d, flip))
+    member = _center_sets(d, flip)
+    assert len(set(member)) == d.n  # rule 6
+    cover = search._leaf_cover(edges, member)
     assert cover is not None
     assert sorted(cover.values()) == list(range(len(edges)))
+
+
+def test_only_distinct_masks_reach_the_matching(monkeypatch):
+    # rule 6 cuts every tuple in which two vertices share a membership mask
+    # before it is complete, so Kuhn's matching never sees one
+    distinct = []
+
+    def leaf_cover(edges, member):
+        distinct.append(len(set(member)) == len(member))
+        return cover(edges, member)
+
+    cover = search._leaf_cover
+    monkeypatch.setattr(search, "_leaf_cover", leaf_cover)
+    for n in range(2, 8):
+        for k in range(1, n + 1):
+            for m in range(1, n):
+                hypergraph_exists(n, k, m)
+    assert len(distinct) > 100 and all(distinct)
 
 
 @pytest.mark.parametrize("n,k,m", [(7, 3, 5), (7, 3, 6)], ids=["engine", "staircase"])
@@ -610,17 +641,17 @@ def test_hypergraph_engine_exhausts_9_2_6_within_a_second():
     assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.parametrize("n,k,m,placements", [(7, 7, 5, 39), (8, 7, 6, 203)])
+@pytest.mark.parametrize("n,k,m,placements", [(7, 7, 5, 11), (8, 7, 6, 31)], ids=["7-7-5", "8-7-6"])
 def test_hypergraph_engine_caps_center_sets_at_half_of_n(n, k, m, placements):
     # the stars of a forest are disjoint with at least two vertices each, so
     # rule 1 caps every center set at n // 2; a cap of min(k, n) took 6,110
-    # and 36,403 placements here
+    # and 36,403 placements here before rule 6
     res = hypergraph_exists(n, k, m)
     assert (res.status, res.nodes_explored) == (SearchStatus.FOUND, placements)
     assert validate_decomposition(res.certificate).ok
 
 
-@pytest.mark.parametrize("k,placements", [(2, 124), (3, 2903)])
+@pytest.mark.parametrize("k,placements", [(2, 100), (3, 1594)], ids=["2", "3"])
 def test_n8_m5_exhausts_through_exists_decomposition(k, placements):
     # the backtracker needs 3,679,924 and 13,497,802 nodes for these
     res = exists_decomposition(8, k, 5)
@@ -628,9 +659,9 @@ def test_n8_m5_exhausts_through_exists_decomposition(k, placements):
 
 
 def test_f_exact_n9_two_star():
-    # (9, 2, 6) exhausts in 1362 placements and (9, 2, 7) is found in 78
+    # (9, 2, 6) exhausts in 961 placements and (9, 2, 7) is found in 30
     res = f_exact(9, 2)
     assert res.value == 7 == -(-3 * 9 // 4)
     assert res.attempts == ((6, SearchStatus.EXHAUSTED_NOT_FOUND), (7, SearchStatus.FOUND))
-    assert res.nodes_explored == 1362 + 78
+    assert res.nodes_explored == 961 + 30
     assert validate_decomposition(res.certificate).ok
