@@ -5,19 +5,21 @@ parse, unreadable-input or out-of-memory errors, 3 search budget exceeded.
 Output is byte-deterministic for a fixed argv and input file; file writes go
 through a write-then-rename of a uniquely named temporary file beside it.
 
-``main`` builds only the parser of the command ``argv[0]`` names, and the full
-tree for any other argv or a leftover token's error.  No parser outlives a call,
-so the patches a caller (say, the benchmark's tracer) puts on one never pile up.
+``main`` reads an argv of exact flags and their values straight from
+``_COMMANDS``, with each row's type, choices and required checks.  Help and
+every usage error go to argparse, imported only then: the parser of the
+command ``argv[0]`` names, and the full tree for any other argv or a leftover
+token's error.  No parser outlives a call, so patches on one never pile up.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from itertools import islice
 from pathlib import Path
+from types import SimpleNamespace
 
 from .bounds import bound_report
 # cmd_construct looks each builder up by name in this module's globals, so a
@@ -258,9 +260,9 @@ def cmd_search(args) -> int:
         else:
             text = (f"F_{args.k}({args.n}) in [{res.interval[0]}, {res.interval[1]}] "
                     f"(budget exceeded, nodes={res.nodes_explored})")
-    print(json.dumps(payload, sort_keys=True) if args.json else text)
-    if res.certificate is not None and args.cert:
+    if res.certificate is not None and args.cert:  # before any output: a failed write leaves stdout empty
         _write_atomic(args.cert, serialize(DecompositionFile(res.certificate, family="search")))
+    print(json.dumps(payload, sort_keys=True) if args.json else text)
     return EXIT_BUDGET if res.status is SearchStatus.BUDGET_EXCEEDED else EXIT_OK
 
 
@@ -309,7 +311,8 @@ def cmd_export(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# subcommand -> (its line in the top-level help, handler, ((flag, add_argument keywords), ...))
+# subcommand -> (its line in the top-level help, handler, ((flag, add_argument keywords), ...));
+# _read implements only the keywords dest, default, type, choices, required, help and action="store_true"
 _COMMANDS = {
     "construct": ("emit a decomposition from a named family", cmd_construct, (
         ("--family", dict(required=True, choices=list(FAMILIES))),
@@ -356,6 +359,7 @@ _COMMANDS = {
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The full tree, or only ``command``'s parser, with the prog and help it has in the tree."""
+    import argparse
     if command is not None:
         parser = argparse.ArgumentParser(prog=f"starforest {command}")
         rows = [(parser, _COMMANDS[command])]
@@ -373,12 +377,38 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """The full tree's namespace for an argv of exact flags and their values, keys in its order; else None."""
+    try:
+        _, func, arguments = _COMMANDS[argv[0]]
+        kwargs, given, tokens = dict(arguments), {}, iter(argv[1:])
+        for flag in tokens:
+            kw = kwargs[flag]
+            if kw.get("action") == "store_true":
+                given[flag] = True
+                continue
+            value = next(tokens)
+            given[flag] = typed = kw.get("type", str)(value)
+            # argparse may read a token that starts with "-" as a flag or a negative number
+            if value.startswith("-") or typed not in kw.get("choices", [typed]):
+                return None
+    except (IndexError, KeyError, StopIteration, TypeError, ValueError):  # no command, no flag, no value, bad type
+        return None
+    if any(kw.get("required") and flag not in given for flag, kw in arguments):
+        return None
+    return SimpleNamespace(command=argv[0], **{
+        kw.get("dest", flag[2:].replace("-", "_")): given.get(flag, kw.get("default", False if kw.get("action") else None))
+        for flag, kw in arguments}, func=func)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args, rest = build_parser(command).parse_known_args(argv[1:] if command else argv, argparse.Namespace(command=command))
-    if rest:  # the full tree words this error, with the top-level usage line
-        args = build_parser().parse_args(argv)
+    args = _read(argv)
+    if args is None:  # argparse words help and every usage error
+        command = argv[0] if argv and argv[0] in _COMMANDS else None
+        args, rest = build_parser(command).parse_known_args(argv[1:] if command else argv, SimpleNamespace(command=command))
+        if rest:  # the full tree words this error, with the top-level usage line
+            args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (DecompositionError, OSError, UnicodeDecodeError) as exc:

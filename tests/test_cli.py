@@ -1,4 +1,3 @@
-import argparse
 import hashlib
 import io
 import json
@@ -139,12 +138,18 @@ def test_unreadable_input_exit_2(capsys, tmp_path, command, kind):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("kind", ["missing-dir", "target-is-dir"])
-def test_out_write_failure_exit_2_leaves_no_stray_file(capsys, tmp_path, kind):
+# search writes its certificate before it prints, so a failed write leaves stdout empty
+@pytest.mark.parametrize("command, kind", [
+    (["construct", "--family", "k16", "--out"], "missing-dir"),
+    (["construct", "--family", "k16", "--out"], "target-is-dir"),
+    (["search", "--n", "7", "--k", "3", "--cert"], "missing-dir"),
+    (["search", "--n", "7", "--k", "3", "--cert"], "target-is-dir"),
+], ids=["missing-dir", "target-is-dir", "search-cert-missing-dir", "search-cert-target-is-dir"])
+def test_out_write_failure_exit_2_leaves_no_stray_file(capsys, tmp_path, command, kind):
     target = tmp_path / "missing" / "x.sfd" if kind == "missing-dir" else tmp_path / "x.sfd"
     if kind == "target-is-dir":
         target.mkdir()  # the rename over it fails after the temporary file exists
-    rc, out, err = run(capsys, ["construct", "--family", "k16", "--out", str(target)])
+    rc, out, err = run(capsys, [*command, str(target)])
     assert rc == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -475,56 +480,132 @@ PARSER_CORPUS = [
 ]
 
 
-def _outcome(capsys, call):
+def _outcome(call):
     """(exit code or None, stdout, stderr, result) of ``call()``."""
-    try:
-        code, result = None, call()
-    except SystemExit as exc:
-        code, result = exc.code, None
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err, result
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code, result = None, call()
+        except SystemExit as exc:
+            code, result = exc.code, None
+    return code, out.getvalue(), err.getvalue(), result
+
+
+def _record_handlers(monkeypatch, seen, call_through):
+    """Put a handler in every ``_COMMANDS`` row that appends its namespace to
+    ``seen``, then runs the real handler or returns 0; both parser paths and
+    the full tree read the handler from that row."""
+    for name, (line, func, arguments) in cli._COMMANDS.items():
+        def handler(args, _func=func):
+            seen.append(args)
+            return _func(args) if call_through else 0
+        monkeypatch.setitem(cli._COMMANDS, name, (line, handler, arguments))
 
 
 @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
-def test_main_parses_like_the_full_tree(capsys, monkeypatch, argv):
+def test_main_parses_like_the_full_tree(monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help and usage to the terminal width
     monkeypatch.setattr("sys.stdin", io.StringIO(""))
-    tree_code, tree_out, tree_err, tree_args = _outcome(capsys, lambda: cli.build_parser().parse_args(argv))
-    seen, build = [], cli.build_parser
-
-    def recording(command=None):
-        parser = build(command)
-        for name in ("parse_args", "parse_known_args"):
-            def parse(*a, _parse=getattr(parser, name), **kw):
-                result = _parse(*a, **kw)
-                seen.append(result[0] if isinstance(result, tuple) else result)
-                return result
-            setattr(parser, name, parse)
-        return parser
-
-    monkeypatch.setattr(cli, "build_parser", recording)
-    code, out, err, rc = _outcome(capsys, lambda: main(argv))
+    seen = []
+    _record_handlers(monkeypatch, seen, call_through=True)
+    tree_code, tree_out, tree_err, tree_args = _outcome(lambda: cli.build_parser().parse_args(argv))
+    code, out, err, rc = _outcome(lambda: main(argv))
     if tree_args is None:  # rejected, or help printed: the same exit, word for word
         assert (code, out, err) == (tree_code, tree_out, tree_err)
+        assert seen == []
     else:  # accepted: the command runs on the namespace the full tree gives
         assert (code, tree_out, tree_err) == (None, "", "")
         assert isinstance(rc, int)
-        assert seen[-1] == tree_args
+        assert vars(seen[-1]) == vars(tree_args)
         assert list(vars(seen[-1])) == list(vars(tree_args))
 
 
-def test_accepted_argv_builds_one_single_command_parser(capsys, monkeypatch):
+_FLAGS = sorted({flag for _, _, arguments in cli._COMMANDS.values() for flag, _ in arguments})
+_VALUES = ["4", "-1", "x", "", "nan", "dot", "png", *FAMILIES]
+
+
+def _values(kw):
+    """A value a flag accepts (a choice, a number or a path), or any of ``_VALUES``."""
+    good = kw.get("choices") or {int: ["4"], float: ["4", "nan"]}.get(kw.get("type"), ["x", ""])
+    return st.sampled_from(good) | st.sampled_from(_VALUES)
+
+
+def _spellings(flags):
+    """A flag, a prefix of one, or ``--flag=value``."""
+    return st.sampled_from(flags) | st.sampled_from([f[:i] for f in flags for i in range(1, len(f))]) | (
+        st.tuples(st.sampled_from(flags), st.sampled_from(_VALUES)).map("=".join))
+
+
+@st.composite
+def command_lines(draw):
+    """A command, often with its required flags, then its own flags with a
+    value each (a store_true flag takes none) and, in half the lines, stray
+    tokens: any flag, a prefix, ``--flag=value``, help, ``--``, a command name
+    or a bare value."""
+    command = draw(st.sampled_from([*cli._COMMANDS, None]))
+    rows = cli._COMMANDS[command][2] if command else ()
+    own = st.sampled_from(rows).flatmap(lambda row: st.just([row[0]]) if "action" in row[1] else (
+        st.tuples(st.just(row[0]), _values(row[1])).map(list))) if rows else st.nothing()
+    stray = (_spellings([f for f, _ in rows] or _FLAGS) | _spellings(_FLAGS)
+             | st.sampled_from([*cli._COMMANDS, "-h", "--help", "--", *_VALUES])).map(lambda t: [t])
+    required = [[f, draw(_values(kw))] for f, kw in rows if kw.get("required") and draw(st.integers(0, 3))]
+    extra = draw(st.lists(own | stray if not rows or draw(st.booleans()) else own, max_size=5))
+    items = draw(st.permutations(required + extra))
+    return [command] * (command is not None) + [t for item in items for t in item]
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(argv=command_lines())
+def test_main_reads_argv_like_the_full_tree(argv):
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("COLUMNS", "80")
+        _record_handlers(mp, seen, call_through=False)
+        tree_code, tree_out, tree_err, tree_args = _outcome(lambda: cli.build_parser().parse_args(argv))
+        code, out, err, rc = _outcome(lambda: main(argv))
+    if tree_args is None:
+        assert (code, out, err) == (tree_code, tree_out, tree_err)
+        assert seen == []
+    else:  # compared by repr, so a nan --timeout equals itself
+        assert (code, out, err, rc, len(seen)) == (None, "", "", 0, 1)
+        assert repr(list(vars(seen[0]).items())) == repr(list(vars(tree_args).items()))
+
+
+def test_command_rows_use_only_what_the_reader_implements():
+    # a flag the reader would misread (a short flag, nargs=, a custom type, a
+    # str default that argparse passes through type) must fail here first
+    for name, (_, _, arguments) in cli._COMMANDS.items():
+        for flag, kw in arguments:
+            assert flag.startswith("--") and len(flag) > 2, (name, flag)
+            assert set(kw) <= {"dest", "default", "type", "choices", "required", "help", "action"}, (name, flag)
+            assert kw.get("action", "store_true") == "store_true", (name, flag)
+            assert kw.get("type", int) in (int, float), (name, flag)
+            assert not isinstance(kw.get("default"), str), (name, flag)
+
+
+# one accepted argv per command
+ACCEPTED = {
+    "construct": ["construct", "--family", "k16"],
+    "verify": ["verify", "--in", str(GOLDEN / "k16.sfd"), "--json"],
+    "analyze": ["analyze", "--in", str(GOLDEN / "k16.sfd")],
+    "search": ["search", "--n", "6", "--k", "2", "--max-nodes", "1000", "--timeout", "60"],
+    "bounds": ["bounds", "--n", "76", "--k", "4", "--json"],
+    "export": ["export", "--in", str(GOLDEN / "k16.sfd"), "--format", "dot"],
+}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_accepted_argv_builds_no_parser(capsys, monkeypatch, command):
     calls, build = [], cli.build_parser
 
     def counted(command=None):
-        calls.append((command, build(command)))
-        return calls[-1][1]
+        calls.append(command)
+        return build(command)
 
     monkeypatch.setattr(cli, "build_parser", counted)
-    assert main(["bounds", "--n", "76", "--k", "4", "--json"]) == 0
-    assert [command for command, _ in calls] == ["bounds"]
-    assert not any(isinstance(a, argparse._SubParsersAction) for a in calls[0][1]._actions)
-    assert json.loads(capsys.readouterr().out)["n"] == 76
+    assert main(ACCEPTED[command]) == 0
+    assert calls == []
+    assert capsys.readouterr().out
 
 
 def test_readme_lists_every_family():
