@@ -6,10 +6,10 @@ Output is byte-deterministic for a fixed argv and input file; file writes go
 through a write-then-rename of a uniquely named temporary file beside it.
 
 ``main`` reads an argv of exact flags and their values straight from
-``_COMMANDS``, with each row's type, choices and required checks.  Help and
-every usage error go to argparse, imported only then: the parser of the
-command ``argv[0]`` names, and the full tree for any other argv or a leftover
-token's error.  No parser outlives a call, so patches on one never pile up.
+``_COMMANDS``, with each row's type, choices and required checks.  Any other
+argv (help and every usage error) goes to the full argparse tree, imported
+and built only then.  No parser outlives a call, so patches on one never pile
+up.
 """
 
 from __future__ import annotations
@@ -219,7 +219,7 @@ def cmd_analyze(args) -> int:
         return EXIT_OK
     print(f"valid: {'yes' if report.ok else 'no'}")
     for fi, e in enumerate(rh.hyperedges):
-        label = (f.provenance[fi] if f.provenance else None) or f"forest {fi}"
+        label = f.provenance[fi] or f"forest {fi}"
         members = ", ".join(map(d.label, sorted(e)))
         print(f"hyperedge {fi} [{label}]: {{{members}}}")
     pstr = " ".join(f"{j}->{c}" for j, c in prof.p.items())
@@ -324,17 +324,17 @@ _COMMANDS = {
         ("--out", dict(help="output path (default: stdout)")),
     )),
     "verify": ("check that a file is a valid decomposition", cmd_verify, (
-        ("--in", dict(dest="infile", default=None, help="input file (default: stdin)")),
+        ("--in", dict(dest="infile", help="input file (default: stdin)")),
         ("--json", dict(action="store_true")),
     )),
     "analyze": ("root-hypergraph diagnostics for a decomposition file", cmd_analyze, (
-        ("--in", dict(dest="infile", default=None)),
+        ("--in", dict(dest="infile")),
         ("--json", dict(action="store_true")),
     )),
     "search": ("exhaustive minimum-forest-count oracle", cmd_search, (
         ("--n", dict(type=int, required=True)),
         ("--k", dict(type=int, required=True)),
-        ("--max-forests", dict(type=int, default=None, help="decide existence for this forest budget instead of minimizing")),
+        ("--max-forests", dict(type=int, help="decide existence for this forest budget instead of minimizing")),
         ("--max-nodes", dict(type=int, default=SearchBudget().max_nodes)),
         ("--timeout", dict(type=float, default=SearchBudget().wall_time)),
         ("--cert", dict(help="write the found certificate here")),
@@ -349,7 +349,7 @@ _COMMANDS = {
         ("--json", dict(action="store_true")),
     )),
     "export": ("render a decomposition file as DOT", cmd_export, (
-        ("--in", dict(dest="infile", default=None)),
+        ("--in", dict(dest="infile")),
         ("--format", dict(required=True, choices=["dot", "dot-per-forest"])),
         ("--out", dict(help="output path for single-graph formats (default: stdout)")),
         ("--out-dir", dict(help="output directory for per-forest formats")),
@@ -357,20 +357,16 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The full tree, or only ``command``'s parser, with the prog and help it has in the tree."""
+def build_parser() -> argparse.ArgumentParser:
+    """The full tree, one subparser per ``_COMMANDS`` row; ``main`` builds it only for argv ``_read`` declines."""
     import argparse
-    if command is not None:
-        parser = argparse.ArgumentParser(prog=f"starforest {command}")
-        rows = [(parser, _COMMANDS[command])]
-    else:
-        parser = argparse.ArgumentParser(
-            prog="starforest",
-            description="Construct, verify, analyze and search k-star-forest decompositions of complete graphs.",
-        )
-        sub = parser.add_subparsers(dest="command", required=True)
-        rows = [(sub.add_parser(name, help=row[0]), row) for name, row in _COMMANDS.items()]
-    for p, (_, func, arguments) in rows:
+    parser = argparse.ArgumentParser(
+        prog="starforest",
+        description="Construct, verify, analyze and search k-star-forest decompositions of complete graphs.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (line, func, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=line)
         for flag, kwargs in arguments:
             p.add_argument(flag, **kwargs)
         p.set_defaults(func=func)
@@ -403,12 +399,7 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _read(argv)
-    if args is None:  # argparse words help and every usage error
-        command = argv[0] if argv and argv[0] in _COMMANDS else None
-        args, rest = build_parser(command).parse_known_args(argv[1:] if command else argv, SimpleNamespace(command=command))
-        if rest:  # the full tree words this error, with the top-level usage line
-            args = build_parser().parse_args(argv)
+    args = _read(argv) or build_parser().parse_args(argv)  # argparse words help and every usage error
     try:
         return args.func(args)
     except (DecompositionError, OSError, UnicodeDecodeError) as exc:

@@ -403,7 +403,7 @@ def blowup(base: DecompositionFile, t: int) -> ConstructionOutput:
     was built, so only another base, such as a parsed file, is validated here.
     """
     d, family = base.decomposition, base.family or "decomposition"
-    names = [name or f"f{j}" for j, name in enumerate(base.provenance or (None,) * d.forest_count)]
+    names = [name or f"f{j}" for j, name in enumerate(base.provenance)]
     if t < 1:
         raise PreconditionError("blowup needs t >= 1")
     m, n = d.forest_count, d.n

@@ -65,19 +65,20 @@ class ParseError(DecompositionError):
 class DecompositionFile(CheckedRecord, NamedTuple("DecompositionFile", [
         ("decomposition", Decomposition), ("family", str | None), ("provenance", tuple[str | None, ...]),
         ("raw_duplicates", tuple[Edge, ...]), ("meta", dict[str, str])])):
-    """A decomposition with its header; empty ``provenance`` = unnamed forests.
+    """A decomposition with its header; ``provenance`` holds one name or None
+    per forest, all None unless given.
 
-    ``provenance`` maps forest index -> forest name, ``raw_duplicates`` holds
-    the edges the builder's raw tables placed twice, and ``meta`` is a fresh
-    dict unless one is given.  ``==`` compares every field; ``hash`` leaves
-    ``meta`` out.
+    ``raw_duplicates`` holds the edges the builder's raw tables placed twice,
+    and ``meta`` is a fresh dict unless one is given.  ``==`` compares every
+    field; ``hash`` leaves ``meta`` out.
     """
 
     __slots__ = ()
 
     def __new__(cls, decomposition: Decomposition, family: str | None = None, provenance: tuple[str | None, ...] = (),
                 raw_duplicates: tuple[Edge, ...] = (), meta: dict[str, str] | None = None) -> DecompositionFile:
-        if provenance and len(provenance) != decomposition.forest_count:
+        provenance = provenance or (None,) * decomposition.forest_count
+        if len(provenance) != decomposition.forest_count:
             raise DecompositionError("provenance length must match the forest count")
         return tuple.__new__(cls, (decomposition, family, provenance, raw_duplicates, {} if meta is None else meta))
 
@@ -93,7 +94,7 @@ def _header_text(what: str, text: str) -> str:
 
 
 def serialize(f: DecompositionFile) -> str:
-    d, provenance = f.decomposition, f.provenance
+    d = f.decomposition
     lines = [_HEADER, f"n {d.n}", f"k {d.k}"]
     if d.labels is not None:
         suffix = "" if d.labels.param is None else f" {d.labels.param}"
@@ -106,8 +107,7 @@ def serialize(f: DecompositionFile) -> str:
         lines.append(f"meta {key} {_header_text('meta value', f.meta[key])}")
     if f.raw_duplicates:
         lines.append("duplicates " + " ".join(f"{u}-{v}" for u, v in f.raw_duplicates))
-    for fi, forest in enumerate(d.forests):
-        name = provenance[fi] if provenance else None
+    for forest, name in zip(d.forests, f.provenance):
         lines.append("forest" if name is None else f"forest {_header_text('forest name', name)}")
         for star in forest.stars:
             lines.append(f"star {star.center} : " + " ".join([str(v) for v in star.leaves]))

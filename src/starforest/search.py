@@ -225,9 +225,7 @@ def _leaf_cover(edges: list[tuple[int, int]], member: list[int]) -> dict[int, in
     """A matching of every edge into the leaf slots, or None (rule 5).
 
     ``member[v]`` has bit f set when v is in C_f.  The matching maps leaf slot
-    (w, f), numbered f * n + w, to the index of the edge it holds.  An edge
-    with no slot gives None at once; rule 6 keeps equal masks, the only
-    cause, from the engine's tuples, so only direct callers reach it.
+    (w, f), numbered f * n + w, to the index of the edge it holds.
     """
     n = len(member)
     slots = []
@@ -238,8 +236,6 @@ def _leaf_cover(edges: list[tuple[int, int]], member: list[int]) -> dict[int, in
                 low = x & -x
                 here.append((low.bit_length() - 1) * n + w)
                 x ^= low
-        if not here:
-            return None
         slots.append(here)
     owner: dict[int, int] = {}
 

@@ -1,7 +1,10 @@
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -15,6 +18,7 @@ from starforest.construct import FAMILIES
 from starforest.fileio import ParseError, parse
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 README = Path(__file__).parent.parent / "README.md"
 
 
@@ -216,6 +220,25 @@ def test_search_deeper_than_the_recursion_limit_is_budget_exceeded(capsys):
     rc, out, err = run(capsys, ["search", "--n", "50", "--k", "2", "--max-forests", "40",
                                 "--max-nodes", "5000"])
     assert (rc, out, err) == (3, "status: budget-exceeded (nodes=5000)\n", "")
+
+
+def test_search_that_hits_the_recursion_limit_is_budget_exceeded():
+    # a limit below the 40 frames the search needs raises RecursionError
+    # inside it, which ends the search as out of budget; the node count at
+    # that point depends on the interpreter's base stack depth, so only its
+    # bound is pinned
+    code = ("import sys\n"
+            "from starforest import cli, exists_decomposition\n"
+            "sys.setrecursionlimit(60)\n"
+            "res = exists_decomposition(50, 2, 40)\n"
+            "print(res.status.value, res.nodes_explored)\n"
+            "sys.exit(cli.main(['search', '--n', '50', '--k', '2', '--max-forests', '40']))\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-s", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    status, nodes = proc.stdout.splitlines()[0].split()
+    assert (proc.returncode, proc.stderr, status) == (3, "", "budget-exceeded")
+    assert int(nodes) < 40
+    assert proc.stdout.splitlines()[1:] == [f"status: budget-exceeded (nodes={nodes})"]
 
 
 def test_bounds_with_search_deeper_than_the_recursion_limit_keeps_the_row(capsys):
@@ -598,9 +621,9 @@ ACCEPTED = {
 def test_accepted_argv_builds_no_parser(capsys, monkeypatch, command):
     calls, build = [], cli.build_parser
 
-    def counted(command=None):
-        calls.append(command)
-        return build(command)
+    def counted():
+        calls.append(True)
+        return build()
 
     monkeypatch.setattr(cli, "build_parser", counted)
     assert main(ACCEPTED[command]) == 0

@@ -11,6 +11,7 @@ from starforest import (
     ParseError,
     broken_double_star,
     construct,
+    exists_decomposition,
     export_dot,
     export_dot_per_forest,
     f2_construction,
@@ -42,6 +43,8 @@ def test_roundtrip_constructions():
     roundtrip(k27())
     roundtrip(k16())
     roundtrip(broken_double_star(3))
+    # unnamed forests, as `search --cert` writes them
+    roundtrip(DecompositionFile(exists_decomposition(7, 3, 5).certificate, family="search"))
 
 
 def test_roundtrip_search_certificate():

@@ -184,7 +184,7 @@ def test_defaults_and_keywords():
     assert SearchBudget() == SearchBudget(50_000_000, 600.0)
     assert LabelScheme("plain").param is None
     f = DecompositionFile(decomposition=_small())
-    assert (f.family, f.provenance, f.raw_duplicates, f.meta) == (None, (), (), {})
+    assert (f.family, f.provenance, f.raw_duplicates, f.meta) == (None, (None, None, None), (), {})
     assert f.meta is not DecompositionFile(_small()).meta  # a fresh dict per record
     with pytest.raises(TypeError):
         ConstructionOutput(_small())  # raw_edge_slots is required, by keyword

@@ -598,6 +598,19 @@ def test_center_sets_of_a_decomposition_admit_a_covering_matching(make, flip):
     assert sorted(cover.values()) == list(range(len(edges)))
 
 
+@pytest.mark.parametrize("member, covered", [
+    ([1, 1, 2], False),  # equal masks: edge 0-1 has no slot
+    ([1, 2, 3], False),  # distinct masks, but three edges share two slots: Hall fails
+    ([1, 2, 4], True),
+])
+def test_leaf_cover_called_directly(member, covered):
+    edges = complete_graph_edges(3)
+    cover = search._leaf_cover(edges, member)
+    assert (cover is not None) == covered
+    if covered:
+        assert sorted(cover.values()) == list(range(len(edges)))
+
+
 def test_only_distinct_masks_reach_the_matching(monkeypatch):
     # rule 6 cuts every tuple in which two vertices share a membership mask
     # before it is complete, so Kuhn's matching never sees one
