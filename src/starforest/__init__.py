@@ -28,15 +28,12 @@ from .core import (
     Edge,
     LabelScheme,
     LabelSchemeError,
-    MalformedForestError,
     MalformedStarError,
     NotApplicableError,
     PreconditionError,
     Star,
     StarForest,
     complete_graph_edges,
-    forest_edges,
-    make_edge,
 )
 from .fileio import (
     DecompositionFile,

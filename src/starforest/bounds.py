@@ -1,11 +1,12 @@
 """Closed-form lower/upper bound formulas and the conjecture-comparison report.
 
-Lower bounds are only quoted inside their proven ranges; outside them the
-helpers return None rather than a guess, so aggregation never silently weakens
-or overstates a bound.  Upper bounds quoted by ``bound_report`` always come
-from a construction that was actually built and validated, tagged
-``construction:<family>`` after its row of ``construct.FAMILIES`` (or from the
-exhaustive search when enabled), never from a bare formula.
+Lower bounds are only quoted inside their proven ranges; outside them
+``lb_star_forest`` and ``lb_bds`` return None rather than a guess, so
+aggregation never silently weakens or overstates a bound.  Upper bounds quoted
+by ``bound_report`` always come from a construction that was actually built
+and validated, tagged ``construction:<family>`` after its row of
+``construct.FAMILIES`` (or from the exhaustive search when enabled), never
+from a bare formula.
 """
 
 from __future__ import annotations
@@ -29,14 +30,14 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def lb_star_forest(n: int) -> int:
-    """ceil(n/2)+1, the floor on star-forest decompositions of K_n.
+def lb_star_forest(n: int) -> int | None:
+    """ceil(n/2)+1, the floor on star-forest decompositions of K_n for n >= 4.
 
-    Exceeds the true optimum for n <= 3 (K_3 splits into two star forests),
-    so aggregators only quote it from n = 4 on.
+    The formula exceeds the true optimum for n <= 3 (F(K_2) = 1 and K_3 splits
+    into two star forests), so it returns None there.
     """
-    if n < 2:
-        raise PreconditionError("needs n >= 2")
+    if n < 4:
+        return None
     return _ceil_div(n, 2) + 1
 
 
@@ -97,8 +98,9 @@ def safe_lower_bound(n: int, k: int) -> tuple[int, str]:
     b = lb_bds(n, k)
     if b is not None:
         candidates.append((b, "bds-uniqueness"))
-    if n >= 4:
-        candidates.append((lb_star_forest(n), "akiyama-kano"))
+    s = lb_star_forest(n)
+    if s is not None:
+        candidates.append((s, "akiyama-kano"))
     # a k-star-forest on n vertices holds at most n-1 edges
     candidates.append((_ceil_div(n, 2), "trivial"))
     return max(candidates, key=lambda c: c[0])
@@ -124,7 +126,7 @@ def bound_report(n: int, k: int, budget=None) -> BoundReport:
     if n < 1 or k < 1 or n < k:
         raise PreconditionError("needs n >= k >= 1")
     lower, lower_source = safe_lower_bound(n, k)
-    ups = [(globals()[fam.builder](*args).forest_count, f"construction:{name}")  # validated on build
+    ups = [(globals()[fam.builder](*args).decomposition.forest_count, f"construction:{name}")  # validated on build
            for name, fam in FAMILIES.items() if fam.upper and (args := fam.upper(n, k))]
 
     if budget is not None:

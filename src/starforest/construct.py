@@ -50,10 +50,6 @@ class ConstructionOutput(NamedTuple("ConstructionOutput", [
         *base, raw_edge_slots = fields
         return cls(*base, raw_edge_slots=raw_edge_slots)
 
-    @property
-    def forest_count(self) -> int:
-        return self.decomposition.forest_count
-
 
 def _finalize(
     n: int,
@@ -399,8 +395,8 @@ def blowup(base: DecompositionFile, t: int) -> ConstructionOutput:
 
     Requires a valid base using at most n-2 forests, which guarantees every
     base vertex is a center somewhere, so every cluster's inside edges get
-    placed.  A ``ConstructionOutput`` was validated by ``_finalize`` when it
-    was built, so only another base, such as a parsed file, is validated here.
+    placed.  Every base is validated here, whatever its record type, so an
+    invalid one is a ``PreconditionError`` before any table is built.
     """
     d, family = base.decomposition, base.family or "decomposition"
     names = [name or f"f{j}" for j, name in enumerate(base.provenance)]
@@ -409,7 +405,7 @@ def blowup(base: DecompositionFile, t: int) -> ConstructionOutput:
     m, n = d.forest_count, d.n
     if m > n - 2:
         raise PreconditionError(f"blowup needs at most n-2 forests (m={m}, n={n})")
-    if not isinstance(base, ConstructionOutput) and not validate_decomposition(d).ok:
+    if not validate_decomposition(d).ok:
         raise PreconditionError("blowup needs a valid base decomposition")
 
     named: list[tuple[str, RawForest]] = []

@@ -20,10 +20,6 @@ class MalformedStarError(DecompositionError):
     pass
 
 
-class MalformedForestError(DecompositionError):
-    pass
-
-
 class LabelSchemeError(DecompositionError):
     pass
 
@@ -34,13 +30,6 @@ class PreconditionError(DecompositionError):
 
 class NotApplicableError(DecompositionError):
     """An operation whose hypotheses exclude the given input."""
-
-
-def make_edge(u: int, v: int) -> Edge:
-    """Canonical (min, max) form of an edge; self-loops are rejected."""
-    if u == v:
-        raise MalformedStarError(f"self-loop at vertex {u}")
-    return (u, v) if u < v else (v, u)
 
 
 def complete_graph_edges(n: int) -> list[Edge]:
@@ -80,16 +69,13 @@ class Star(CheckedRecord, NamedTuple("Star", [("center", int), ("leaves", tuple[
                 raise MalformedStarError(f"star with center {center} repeats a leaf")
         return tuple.__new__(cls, (center, leaves))
 
-    def edges(self) -> list[Edge]:
-        return [make_edge(self.center, leaf) for leaf in self.leaves]
-
 
 class StarForest(CheckedRecord, NamedTuple("StarForest", [("stars", tuple[Star, ...])])):
     """Disjoint union of stars.
 
     Disjointness of the component stars is *not* enforced on construction so
-    that broken inputs can be represented and diagnosed; :func:`forest_edges`
-    and the validator reject overlaps.
+    that broken inputs can be represented and diagnosed;
+    ``verify.validate_decomposition`` reports overlaps.
     """
 
     __slots__ = ()
@@ -103,23 +89,6 @@ class StarForest(CheckedRecord, NamedTuple("StarForest", [("stars", tuple[Star, 
 
     def edge_count(self) -> int:
         return sum(len(s.leaves) for s in self.stars)
-
-
-def forest_edges(forest: StarForest) -> list[Edge]:
-    """Canonical edges of a star forest, in star/leaf traversal order.
-
-    Raises:
-        MalformedForestError: if two stars of the forest share a vertex.
-    """
-    seen: set[int] = set()
-    out: list[Edge] = []
-    for star in forest.stars:
-        for v in (star.center, *star.leaves):
-            if v in seen:
-                raise MalformedForestError(f"vertex {v} appears in more than one star")
-            seen.add(v)
-        out.extend(star.edges())
-    return out
 
 
 _SCHEME_NAMES = ("plain", "f3cube", "block12m4")

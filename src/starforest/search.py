@@ -294,8 +294,6 @@ def f_exact(n: int, k: int, budget: SearchBudget | None = None) -> FExactResult:
     If the budget dies first, the result carries the bracketing interval
     instead of a value.
     """
-    if n < 1 or k < 1:
-        raise PreconditionError("needs n >= 1 and k >= 1")
     budget = budget or SearchBudget()
     lb, _ = safe_lower_bound(n, k)
     deadline = time.monotonic() + budget.wall_time

@@ -31,7 +31,6 @@ from starforest import (
     f3_construction,
     f3_equality_feasible,
     f_exact,
-    forest_edges,
     k16,
     k27,
     k4_construction,
@@ -44,6 +43,10 @@ from starforest.cli import main
 from starforest.core import NotApplicableError, PreconditionError
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def edges_of(forest):
+    return [(min(s.center, leaf), max(s.center, leaf)) for s in forest.stars for leaf in s.leaves]
 
 
 @contextmanager
@@ -62,7 +65,7 @@ def criterion(num: str, label: str, limit: float):
 def test_criterion_1_k27_partition():
     with criterion("1", "k27 partitions K_27 into 15 forests, r=0", 1.0):
         out = k27()
-        assert out.forest_count == 15
+        assert out.decomposition.forest_count == 15
         assert all(len(f.stars) == 3 for f in out.decomposition.forests)
         rep = validate_decomposition(out.decomposition)
         assert rep.ok and rep.coverage.total_edges == 351
@@ -88,7 +91,7 @@ def test_criterion_1_k27_every_vertex_degree_exactly_two():
 def test_criterion_2_k16():
     with criterion("2", "k16: 10 forests, dup set = 8 block diagonals", 1.0):
         out = k16()
-        assert out.forest_count == 10
+        assert out.decomposition.forest_count == 10
         assert all(len(f.stars) <= 4 for f in out.decomposition.forests)
         rep = validate_decomposition(out.decomposition)
         assert rep.ok and rep.coverage.total_edges == 120
@@ -103,7 +106,7 @@ def test_criterion_3_k4_family():
         for m in range(1, 11):
             out = k4_construction(m)
             n = 12 * m + 4
-            assert out.forest_count == 6 * m + 4
+            assert out.decomposition.forest_count == 6 * m + 4
             assert all(len(f.stars) <= 4 for f in out.decomposition.forests)
             expected_dups = sorted(
                 [(12 * k + i, 12 * k + i + 2) for k in range(m + 1) for i in (0, 1)]
@@ -125,7 +128,7 @@ def test_criterion_4_blowup():
         base = k27()
         for t in (2, 3):
             out = blowup(base, t)
-            assert out.forest_count == 15 * t
+            assert out.decomposition.forest_count == 15 * t
             assert out.decomposition.n == 27 * t
             assert validate_decomposition(out.decomposition).ok
         with pytest.raises(PreconditionError):
@@ -136,7 +139,7 @@ def test_criterion_5_f2_family():
     with criterion("5", "f2 yields ceil(3n/4) two-star forests, even n <= 60", 10.0):
         for n in range(4, 61, 2):
             out = f2_construction(n)
-            assert out.forest_count == -(-3 * n // 4)
+            assert out.decomposition.forest_count == -(-3 * n // 4)
             assert all(len(f.stars) <= 2 for f in out.decomposition.forests)
             assert validate_decomposition(out.decomposition).ok
 
@@ -202,7 +205,7 @@ def test_criterion_10_k27_per_class_coverage():
         out = k27()
         owner: dict[tuple[int, int], str] = {}
         for name, forest in zip(out.provenance, out.decomposition.forests):
-            for e in forest_edges(forest):
+            for e in edges_of(forest):
                 owner[e] = name
 
         def vid(i, j, layer):

@@ -18,7 +18,9 @@ from starforest.bounds import safe_lower_bound
 def test_lb_star_forest_values():
     assert lb_star_forest(4) == 3
     assert lb_star_forest(16) == 9
-    assert lb_star_forest(2) == 2  # formula value; exceeds the truth at n=2
+    # the formula exceeds F(K_2) = 1 and F(K_3) = 2, so no bound is quoted there
+    assert lb_star_forest(2) is None
+    assert lb_star_forest(3) is None
 
 
 def test_lb_bds_values():

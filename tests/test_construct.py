@@ -18,7 +18,6 @@ from starforest import (
     degree_profile,
     f2_construction,
     f3_construction,
-    forest_edges,
     k16,
     k27,
     k4_construction,
@@ -28,6 +27,10 @@ from starforest import (
 from starforest.fileio import parse, serialize
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def edges_of(forest):
+    return [(min(s.center, leaf), max(s.center, leaf)) for s in forest.stars for leaf in s.leaves]
 
 
 def expected_k4_duplicates(m: int) -> list[tuple[int, int]]:
@@ -44,11 +47,11 @@ def expected_k4_duplicates(m: int) -> list[tuple[int, int]]:
 
 def test_bds_t2_hand_expansion():
     out = broken_double_star(2)
-    pair_edges = [sorted(forest_edges(f)) for f in out.decomposition.forests[:2]]
+    pair_edges = [sorted(edges_of(f)) for f in out.decomposition.forests[:2]]
     assert pair_edges == [[(0, 1), (2, 3)], [(1, 2), (0, 3)]] or pair_edges == [
         sorted([(0, 1), (2, 3)]), sorted([(1, 2), (0, 3)])]
     assert out.meta == {"matching": "0-2 1-3"}
-    assert sorted(forest_edges(out.decomposition.forests[-1])) == [(0, 2), (1, 3)]
+    assert sorted(edges_of(out.decomposition.forests[-1])) == [(0, 2), (1, 3)]
     assert out.raw_duplicates == ()
 
 
@@ -56,9 +59,9 @@ def test_bds_t3_covers_all_but_matching():
     out = broken_double_star(3)
     pair_part = set()
     for f in out.decomposition.forests[:3]:
-        pair_part.update(forest_edges(f))
+        pair_part.update(edges_of(f))
     assert len(pair_part) == 12
-    assert pair_part.isdisjoint(forest_edges(out.decomposition.forests[-1]))
+    assert pair_part.isdisjoint(edges_of(out.decomposition.forests[-1]))
     assert validate_decomposition(out.decomposition).ok
 
 
@@ -68,9 +71,9 @@ def test_bds_rejects_small_t():
 
 
 def test_conjecture_forest_counts():
-    assert conjecture_construction(8, 2).forest_count == 6
-    assert conjecture_construction(16, 4).forest_count == 10
-    assert conjecture_construction(28, 4).forest_count == 18
+    assert conjecture_construction(8, 2).decomposition.forest_count == 6
+    assert conjecture_construction(16, 4).decomposition.forest_count == 10
+    assert conjecture_construction(28, 4).decomposition.forest_count == 18
 
 
 def test_conjecture_rejects_odd_n():
@@ -81,7 +84,7 @@ def test_conjecture_rejects_odd_n():
 def test_f2_counts_and_validity():
     for n in (4, 8, 10, 14, 20):
         out = f2_construction(n)
-        assert out.forest_count == -(-3 * n // 4)
+        assert out.decomposition.forest_count == -(-3 * n // 4)
         assert all(len(f.stars) <= 2 for f in out.decomposition.forests)
 
 
@@ -92,7 +95,7 @@ def test_f2_counts_and_validity():
 
 def test_k27_shape():
     out = k27()
-    assert out.forest_count == 15
+    assert out.decomposition.forest_count == 15
     assert all(len(f.stars) == 3 for f in out.decomposition.forests)
     assert [f.edge_count() for f in out.decomposition.forests] == [24] * 12 + [21] * 3
     assert out.raw_duplicates == ()
@@ -125,7 +128,7 @@ def test_k27_every_vertex_centers_at_most_twice():
 
 def test_k16_shape_and_duplicates():
     out = k16()
-    assert out.forest_count == 10
+    assert out.decomposition.forest_count == 10
     assert list(out.raw_duplicates) == sorted(
         [(0, 2), (1, 3), (4, 6), (5, 7), (8, 10), (9, 11), (12, 14), (13, 15)]
     )
@@ -138,7 +141,7 @@ def test_k16_named_coverage_samples():
     out = k16()
     by_name = dict(zip(out.provenance, out.decomposition.forests))
     # B(i)C(i+2) sits in the B-block forest
-    b_edges = set(forest_edges(by_name["B(0)"]))
+    b_edges = set(edges_of(by_name["B(0)"]))
     for i in range(4):
         assert (min(4 + i, 8 + (i + 2) % 4), max(4 + i, 8 + (i + 2) % 4)) in b_edges
 
@@ -174,7 +177,7 @@ def test_k16_root_hypergraph_pattern():
 def test_k4_construction_small(m):
     out = k4_construction(m)
     n = 12 * m + 4
-    assert out.forest_count == 6 * m + 4
+    assert out.decomposition.forest_count == 6 * m + 4
     assert all(len(f.stars) <= 4 for f in out.decomposition.forests)
     assert list(out.raw_duplicates) == expected_k4_duplicates(m)
     assert sum(out.raw_edge_slots) == n * n // 2
@@ -221,12 +224,12 @@ def test_blowup_t1_is_identity_on_edges():
     base = k27()
     lifted = blowup(base, 1)
     for fa, fb in zip(base.decomposition.forests, lifted.decomposition.forests):
-        assert sorted(forest_edges(fa)) == sorted(forest_edges(fb))
+        assert sorted(edges_of(fa)) == sorted(edges_of(fb))
 
 
 def test_blowup_k27_t2():
     out = blowup(k27(), 2)
-    assert out.forest_count == 30
+    assert out.decomposition.forest_count == 30
     assert out.decomposition.n == 54
     assert out.decomposition.k == 3
 
@@ -240,7 +243,7 @@ def test_blowup_composes():
     base = broken_double_star(4)  # 5 forests on 8 vertices
     once = blowup(blowup(base, 2), 2)
     direct = blowup(base, 4)
-    assert once.forest_count == direct.forest_count == 20
+    assert once.decomposition.forest_count == direct.decomposition.forest_count == 20
     assert once.decomposition.n == direct.decomposition.n == 32
 
 
@@ -250,17 +253,27 @@ def test_blowup_of_parsed_file_matches_construction_output():
     assert blowup(parsed, 2) == blowup(base, 2)
 
 
-def test_blowup_validates_only_a_base_not_yet_validated(monkeypatch):
-    # _finalize validates k27 and each blowup; blowup's precondition adds a
-    # validation for a parsed base only, not for a ConstructionOutput
+def test_blowup_validates_every_base(monkeypatch):
+    # _finalize validates k27 and each blowup; blowup's precondition validates
+    # its base whatever the record type, a ConstructionOutput included
     parsed = parse(serialize(k27()))
     calls = []
     monkeypatch.setattr(construct, "validate_decomposition", lambda d: calls.append(d.n) or validate_decomposition(d))
     f3_construction(54)
-    assert calls == [27, 54]
+    assert calls == [27, 27, 54]
     calls.clear()
     blowup(parsed, 2)
     assert calls == [27, 54]
+
+
+def test_blowup_rejects_an_invalid_construction_output_base():
+    # bds(4) without its matching forest misses four edges; as a parsed file
+    # and as a builder's record it gets the same precondition error
+    d = broken_double_star(4).decomposition
+    bad = d._replace(forests=d.forests[:-1])
+    for base in (DecompositionFile(bad), construct.ConstructionOutput(bad, raw_edge_slots=(0,) * 4)):
+        with pytest.raises(PreconditionError, match="^blowup needs a valid base decomposition$"):
+            blowup(base, 2)
 
 
 @pytest.mark.parametrize("names", [("a",), tuple("abcdefghi")])  # 1 and 9 names for 5 forests
@@ -291,16 +304,16 @@ def test_family_builders_are_patch_points():
 
 
 def test_f3_construction_counts():
-    assert k27().forest_count == 15
-    assert f3_construction(54).forest_count == 30
-    assert f3_construction(81).forest_count == 45
+    assert k27().decomposition.forest_count == 15
+    assert f3_construction(54).decomposition.forest_count == 30
+    assert f3_construction(81).decomposition.forest_count == 45
     with pytest.raises(PreconditionError):
         f3_construction(28)
 
 
 def test_provenance_aligned_with_forests():
     for out in (k27(), k16(), broken_double_star(3), f2_construction(8)):
-        assert len(out.provenance) == out.forest_count
+        assert len(out.provenance) == out.decomposition.forest_count
 
 
 def test_finalize_failure_lists_first_missing_edges():

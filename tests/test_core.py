@@ -3,15 +3,11 @@ import pytest
 from starforest import (
     LabelScheme,
     LabelSchemeError,
-    MalformedForestError,
     MalformedStarError,
     PreconditionError,
     Star,
-    StarForest,
     complete_graph_edges,
-    forest_edges,
     k27,
-    make_edge,
 )
 
 
@@ -39,12 +35,6 @@ def test_complete_graph_rejects_empty():
         complete_graph_edges(0)
 
 
-def test_make_edge_canonical():
-    assert make_edge(5, 2) == (2, 5)
-    with pytest.raises(MalformedStarError):
-        make_edge(3, 3)
-
-
 def test_star_invariants():
     with pytest.raises(MalformedStarError, match=r"^star with center 0 lists the center as a leaf$"):
         Star(0, (0, 1))
@@ -69,23 +59,9 @@ def test_star_negative_and_empty_messages(center, leaves, problem):
     assert str(exc.value) == problem
 
 
-def test_forest_edges_simple():
-    assert forest_edges(StarForest((Star(0, (1, 2)),))) == [(0, 1), (0, 2)]
-    assert forest_edges(StarForest((Star(0, (1,)), Star(2, (3,))))) == [(0, 1), (2, 3)]
-
-
-def test_forest_edges_rejects_overlap():
-    f = StarForest((Star(0, (1, 2)), Star(2, (3,))))
-    with pytest.raises(MalformedForestError):
-        forest_edges(f)
-
-
 def test_forest_edges_k27_grid_forest():
     # every per-cell forest of the K_27 construction carries 12+6+6 edges
-    forest = k27().decomposition.forests[0]
-    edges = forest_edges(forest)
-    assert len(edges) == 24
-    assert len(set(edges)) == 24
+    assert k27().decomposition.forests[0].edge_count() == 24
 
 
 def test_label_schemes():

@@ -189,7 +189,7 @@ def test_defaults_and_keywords():
     with pytest.raises(TypeError):
         ConstructionOutput(_small())  # raw_edge_slots is required, by keyword
     out = ConstructionOutput(_small(), "x", raw_edge_slots=(3, 2, 1))
-    assert out.forest_count == 3
+    assert out.decomposition.forest_count == 3
     assert isinstance(out, DecompositionFile)
 
 
