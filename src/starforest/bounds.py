@@ -1,7 +1,7 @@
 """Closed-form lower/upper bound formulas and the conjecture-comparison report.
 
-Lower bounds are only quoted inside their proven ranges; outside them
-``lb_star_forest`` and ``lb_bds`` return None rather than a guess, so
+Each formula is only quoted inside its proven range: outside it every
+``lb_*`` and ``conjecture_value`` returns None rather than a guess, so
 aggregation never silently weakens or overstates a bound.  Upper bounds quoted
 by ``bound_report`` always come from a construction that was actually built
 and validated, tagged ``construction:<family>`` after its row of
@@ -56,10 +56,10 @@ def lb_bds(n: int, k: int) -> int | None:
     return n // 2 + 2
 
 
-def lb_f3(n: int) -> int:
-    """ceil(5n/9), the counting lower bound for 3-star-forests."""
+def lb_f3(n: int) -> int | None:
+    """ceil(5n/9), the counting lower bound for 3-star-forests; None for n < 3."""
     if n < 3:
-        raise PreconditionError("needs n >= 3")
+        return None
     return _ceil_div(5 * n, 9)
 
 
@@ -74,10 +74,10 @@ def f3_equality_feasible(n: int) -> bool:
     return (n - 3) * (5 * n // 9) >= n * (n - 1) // 2
 
 
-def conjecture_value(n: int, k: int) -> int:
-    """ceil((k+1)n/2k), the conjectured (and here refuted) general lower bound."""
+def conjecture_value(n: int, k: int) -> int | None:
+    """ceil((k+1)n/2k), the conjectured (and here refuted) lower bound; None unless n >= k >= 2."""
     if k < 2 or n < k:
-        raise PreconditionError("needs n >= k >= 2")
+        return None
     return _ceil_div((k + 1) * n, 2 * k)
 
 
@@ -91,19 +91,11 @@ def safe_lower_bound(n: int, k: int) -> tuple[int, str]:
         raise PreconditionError("needs n >= 1 and k >= 1")
     if n == 1:
         return 0, "trivial"
-    # in priority order: max() keeps the first of equal bounds
-    candidates: list[tuple[int, str]] = []
-    if k <= 3 and n >= 3:
-        candidates.append((lb_f3(n), "f3-counting"))
-    b = lb_bds(n, k)
-    if b is not None:
-        candidates.append((b, "bds-uniqueness"))
-    s = lb_star_forest(n)
-    if s is not None:
-        candidates.append((s, "akiyama-kano"))
-    # a k-star-forest on n vertices holds at most n-1 edges
-    candidates.append((_ceil_div(n, 2), "trivial"))
-    return max(candidates, key=lambda c: c[0])
+    # in priority order: max() keeps the first of equal bounds; a k-star-forest
+    # on n vertices holds at most n-1 edges, hence the trivial ceil(n/2)
+    candidates = ((lb_f3(n) if k <= 3 else None, "f3-counting"), (lb_bds(n, k), "bds-uniqueness"),
+                  (lb_star_forest(n), "akiyama-kano"), (_ceil_div(n, 2), "trivial"))
+    return max((c for c in candidates if c[0] is not None), key=lambda c: c[0])
 
 
 class BoundReport(NamedTuple):
@@ -141,7 +133,7 @@ def bound_report(n: int, k: int, budget=None) -> BoundReport:
             lower, lower_source = res.interval[0], "search"
 
     upper, upper_source = min(ups, key=lambda c: c[0]) if ups else (None, None)
-    cv = conjecture_value(n, k) if k >= 2 else None
+    cv = conjecture_value(n, k)
     refuted = upper is not None and cv is not None and upper < cv
     return BoundReport(
         n=n,

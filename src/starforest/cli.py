@@ -167,10 +167,10 @@ def _print_edge_list(tag: str, count: int, shown: list | tuple) -> None:
     print(f"{tag} ({count}):" + (f" {text}{suffix}" if count else " -"))
 
 
-def _report_or_reason(reason: type[Exception], check, *args, **kwargs):
-    """``check(*args, **kwargs)``, or the ``reason`` it raised for not applying."""
+def _report_or_reason(reason: type[Exception], check, *args):
+    """``check(*args)``, or the ``reason`` it raised for not applying."""
     try:
-        return check(*args, **kwargs)
+        return check(*args)
     except reason as exc:
         return exc
 
@@ -183,8 +183,8 @@ def cmd_analyze(args) -> int:
     prof = degree_profile(rh)
     iso = check_no_isolated(rh)
     counting = _report_or_reason(NotApplicableError, check_counting_inequality, rh)
-    placement = _report_or_reason(DecompositionError, check_degree1_placement, d, report=report, rh=rh)
-    bds = _report_or_reason(NotApplicableError, is_broken_double_star, d, report=report)
+    placement = _report_or_reason(DecompositionError, check_degree1_placement, rh, report)
+    bds = _report_or_reason(NotApplicableError, is_broken_double_star, d, report)
     if isinstance(bds, NotApplicableError):
         bds = f"not applicable: {bds}"
 

@@ -193,28 +193,18 @@ def _cube(i: int, j: int, layer: int) -> int:
     return 9 * (i % 3) + 3 * (j % 3) + layer
 
 
+def _k27_star(i: int, j: int, layer: int, table: list[tuple[int, tuple[int, int]]]) -> RawStar:
+    """The star centered over cell (i, j) in ``layer``, its leaves placed by ``table``."""
+    return _cube(i, j, layer), [_cube(i + di, j + dj, lyr) for lyr, (di, dj) in table]
+
+
 def k27() -> ConstructionOutput:
     """Decomposition of K_27 into fifteen 3-star-forests, every edge exactly once."""
-    named: list[tuple[str, RawForest]] = []
-    for i in range(3):
-        for j in range(3):
-            raw: RawForest = []
-            for layer in range(3):
-                leaves = [_cube(i + di, j + dj, lyr) for lyr, (di, dj) in _GRID_LEAVES[layer]]
-                raw.append((_cube(i, j, layer), leaves))
-            named.append((f"S({i},{j})", raw))
-    for j in range(3):
-        raw = []
-        for i in range(3):
-            leaves = [_cube(i + di, j + dj, lyr) for lyr, (di, dj) in _LAYER1_ROW_LEAVES]
-            raw.append((_cube(i, j, 1), leaves))
-        named.append((f"X({j})", raw))
-    for i in range(3):
-        raw = []
-        for j in range(3):
-            leaves = [_cube(i + di, j + dj, lyr) for lyr, (di, dj) in _LAYER2_ROW_LEAVES]
-            raw.append((_cube(i, j, 2), leaves))
-        named.append((f"Y({i})", raw))
+    named: list[tuple[str, RawForest]] = [
+        (f"S({i},{j})", [_k27_star(i, j, layer, _GRID_LEAVES[layer]) for layer in range(3)])
+        for i in range(3) for j in range(3)]
+    named += [(f"X({j})", [_k27_star(i, j, 1, _LAYER1_ROW_LEAVES) for i in range(3)]) for j in range(3)]
+    named += [(f"Y({i})", [_k27_star(i, j, 2, _LAYER2_ROW_LEAVES) for j in range(3)]) for i in range(3)]
     return _finalize(27, 3, named, family="k27", labels=LabelScheme("f3cube"), expect_exact=True)
 
 

@@ -300,8 +300,7 @@ class Degree1PlacementReport(NamedTuple):
     pinched_degree2: tuple[tuple[int, int, int], ...]
 
 
-def check_degree1_placement(d: Decomposition, *, report: ValidationReport | None = None,
-                            rh: RootHypergraph | None = None) -> Degree1PlacementReport:
+def check_degree1_placement(rh: RootHypergraph, report: ValidationReport) -> Degree1PlacementReport:
     """Center-placement conditions on degree-1 vertices of a valid decomposition.
 
     (1) no hyperedge may contain two degree-1 vertices; (2) the two hyperedges
@@ -309,20 +308,16 @@ def check_degree1_placement(d: Decomposition, *, report: ValidationReport | None
     failure on a genuinely valid decomposition would break the coverage
     argument, so test suites treat any violation as fatal.
 
-    ``report`` and ``rh``, if given, must be ``validate_decomposition(d)`` and
-    ``root_hypergraph(d)``; a caller that already holds them saves computing
-    them again here.
+    Call it as ``check_degree1_placement(root_hypergraph(d),
+    validate_decomposition(d))``; only ``report.ok`` is read.
 
     Raises:
-        PreconditionError: if the decomposition is not valid.
+        PreconditionError: if the report is not valid.
         NotApplicableError: if m >= n-1 or some hyperedge has fewer than 2 vertices.
     """
-    if report is None:
-        report = validate_decomposition(d)
     if not report.ok:
         raise PreconditionError("placement checks need a valid decomposition")
-    rh = root_hypergraph(d) if rh is None else rh
-    if rh.m >= d.n - 1:
+    if rh.m >= rh.n - 1:
         raise NotApplicableError("needs fewer than n-1 forests")
     if any(len(e) < 2 for e in rh.hyperedges):
         raise NotApplicableError("needs every hyperedge to have at least 2 vertices")
@@ -349,7 +344,7 @@ def check_degree1_placement(d: Decomposition, *, report: ValidationReport | None
     return Degree1PlacementReport(ok=not shared and not pinched, shared_degree1=tuple(shared), pinched_degree2=tuple(pinched))
 
 
-def is_broken_double_star(d: Decomposition, *, report: ValidationReport | None = None) -> bool:
+def is_broken_double_star(d: Decomposition, report: ValidationReport) -> bool:
     """Recognize the broken double star, the (t+1)-forest decomposition of K_{2t}.
 
     For t >= 3 it is t spanning two-star forests of t-1 leaves per star,
@@ -368,9 +363,8 @@ def is_broken_double_star(d: Decomposition, *, report: ValidationReport | None =
     arc is L(v) + {partner(v)}; u lies in L(v), since L(v) and
     L(partner(v)) are disjoint and not empty.
 
-    ``report``, if given, must be ``validate_decomposition(d)``; a caller that
-    already holds it saves a second validation.  Without it, ``d`` is
-    validated here, and only once it has the (t+1)-forest shape.
+    ``report`` is ``validate_decomposition(d)``; a ``d`` without the
+    (t+1)-forest shape is rejected before it is read.
 
     Raises:
         NotApplicableError: for odd n.
@@ -380,8 +374,6 @@ def is_broken_double_star(d: Decomposition, *, report: ValidationReport | None =
     t = d.n // 2
     if t < 2 or len(d.forests) != t + 1:
         return False
-    if report is None:
-        report = validate_decomposition(d)
     if not report.ok:
         return False
     others = [f for f in d.forests if len(f.stars) != 2]

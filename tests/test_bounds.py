@@ -35,6 +35,7 @@ def test_lb_f3_values():
     assert lb_f3(27) == 15
     assert lb_f3(9) == 5
     assert lb_f3(54) == 30
+    assert lb_f3(1) is None and lb_f3(2) is None  # below the counting argument's range
 
 
 def test_f3_equality_feasible():
@@ -49,6 +50,8 @@ def test_conjecture_values():
     assert conjecture_value(27, 3) == 18
     assert conjecture_value(16, 4) == 10
     assert conjecture_value(28, 4) == 18
+    assert conjecture_value(5, 1) is None  # k < 2
+    assert conjecture_value(3, 5) is None  # n < k
 
 
 def test_safe_lower_bound_small_n():

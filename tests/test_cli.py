@@ -89,6 +89,21 @@ def test_construct_blowup_invalid_base_exit_2(capsys, tmp_path):
     assert err == "error: blowup needs a valid base decomposition\n"
 
 
+# a precondition the arguments break exits 2 with one stderr line and no output
+@pytest.mark.parametrize("argv, message", [
+    (["construct", "--family", "f2", "--n", "5"], "needs an even n >= 4"),
+    (["construct", "--family", "conjecture", "--n", "6", "--k", "1"], "needs k >= 2"),
+    (["construct", "--family", "conjecture", "--n", "6", "--k", "4"],
+     "needs n >= 2k so matching groups are well defined"),
+    (["construct", "--family", "blowup", "--in", str(GOLDEN / "k27.sfd"), "--t", "0"], "blowup needs t >= 1"),
+    (["bounds", "--n", "3", "--k", "5"], "needs n >= k >= 1"),
+    (["export", "--in", str(GOLDEN / "k27.sfd"), "--format", "dot-per-forest"],
+     "--out-dir is required for dot-per-forest"),
+], ids=["f2-odd-n", "conjecture-k1", "conjecture-small-n", "blowup-t0", "bounds-n-below-k", "per-forest-no-out-dir"])
+def test_precondition_exit_2(capsys, argv, message):
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
 def test_construct_byte_determinism(capsys):
     rc1, out1, _ = run(capsys, ["construct", "--family", "k4gen", "--m", "2"])
     rc2, out2, _ = run(capsys, ["construct", "--family", "k4gen", "--m", "2"])
@@ -404,21 +419,11 @@ def test_analyze_validates_once(capsys, monkeypatch, tmp_path, name, placement, 
 def test_checks_validate_without_report(tmp_path):
     dropped = parse(pinned_input("k27_dropped", tmp_path).read_text()).decomposition
     with pytest.raises(PreconditionError, match="^placement checks need a valid decomposition$"):
-        check_degree1_placement(dropped)
+        check_degree1_placement(verify.root_hypergraph(dropped), verify.validate_decomposition(dropped))
     extra = parse(pinned_input("bds_t4_extra", tmp_path).read_text()).decomposition
-    assert not is_broken_double_star(extra)
-    assert is_broken_double_star(parse((GOLDEN / "bds_t4.sfd").read_text()).decomposition)
-
-
-@pytest.mark.parametrize("name", ["k27", "bds_t4"])
-def test_degree1_placement_reuses_a_given_root_hypergraph(monkeypatch, name):
-    d = parse((GOLDEN / f"{name}.sfd").read_text()).decomposition
-    report, rh = verify.validate_decomposition(d), verify.root_hypergraph(d)
-    expected = check_degree1_placement(d, report=report)
-    calls = []
-    monkeypatch.setattr(verify, "root_hypergraph", lambda d: calls.append(d))
-    assert check_degree1_placement(d, report=report, rh=rh) == expected
-    assert calls == []
+    assert not is_broken_double_star(extra, verify.validate_decomposition(extra))
+    bds = parse((GOLDEN / "bds_t4.sfd").read_text()).decomposition
+    assert is_broken_double_star(bds, verify.validate_decomposition(bds))
 
 
 def test_analyze_builds_the_root_hypergraph_once(capsys, monkeypatch):

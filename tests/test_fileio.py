@@ -8,6 +8,7 @@ from starforest import (
     Decomposition,
     DecompositionError,
     DecompositionFile,
+    LabelScheme,
     ParseError,
     broken_double_star,
     construct,
@@ -45,6 +46,9 @@ def test_roundtrip_constructions():
     roundtrip(broken_double_star(3))
     # unnamed forests, as `search --cert` writes them
     roundtrip(DecompositionFile(exists_decomposition(7, 3, 5).certificate, family="search"))
+    # a scheme that names no vertex count, written as 'labels plain'
+    d = broken_double_star(3).decomposition
+    roundtrip(DecompositionFile(Decomposition(d.n, d.k, d.forests, LabelScheme("plain"))))
 
 
 def test_roundtrip_search_certificate():
@@ -74,6 +78,16 @@ def test_parse_rejects_repeated_leaf():
     text = "decomposition v1\nn 4\nk 2\nforest\nstar 0 : 1 1\n"
     with pytest.raises(ParseError, match="repeats a leaf"):
         parse(text)
+
+
+@pytest.mark.parametrize("body, problem", [
+    ("k 2\nforest\nstar 0 : 1\nn 4\n", "line 4: star before n was given"),
+    ("n 4\nk 2\nmeta seed\n", "line 4: expected 'meta <key> <value>'"),
+], ids=["star-before-n", "meta-without-value"])
+def test_parse_rejects_incomplete_lines(body, problem):
+    with pytest.raises(ParseError) as exc:
+        parse("decomposition v1\n" + body)
+    assert str(exc.value) == problem
 
 
 def test_parse_rejects_star_before_forest():

@@ -281,6 +281,8 @@ def test_exhaustion_tokens_recorded():
 def test_search_parameter_validation():
     with pytest.raises(PreconditionError):
         exists_decomposition(0, 1, 1)
+    with pytest.raises(PreconditionError, match="^needs n >= 1, k >= 1, m >= 1$"):
+        hypergraph_exists(0, 1, 1)
     with pytest.raises(PreconditionError, match="needs n >= 1 and k >= 1"):
         f_exact(0, 1)
     with pytest.raises(PreconditionError, match="needs n >= 1 and k >= 1"):

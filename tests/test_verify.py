@@ -45,6 +45,14 @@ def staircase(n: int) -> Decomposition:
     return Decomposition(n=n, k=1, forests=forests)
 
 
+def placement(d: Decomposition):
+    return check_degree1_placement(root_hypergraph(d), validate_decomposition(d))
+
+
+def is_bds(d: Decomposition) -> bool:
+    return is_broken_double_star(d, validate_decomposition(d))
+
+
 def test_validate_k3():
     assert validate_decomposition(k3_decomposition()).ok
 
@@ -370,28 +378,36 @@ def test_counting_not_applicable_for_large_hyperedges():
 
 
 def test_degree1_placement_k27():
-    rep = check_degree1_placement(k27().decomposition)
+    rep = placement(k27().decomposition)
     assert rep.ok
 
 
 def test_degree1_placement_f2_construction():
-    assert check_degree1_placement(f2_construction(8).decomposition).ok
+    assert placement(f2_construction(8).decomposition).ok
+
+
+def test_degree1_placement_flags_shared_and_pinched_vertices():
+    # no valid decomposition has this root-hypergraph: 0 and 1 share a hyperedge
+    # at degree 1, and degree-2 vertex 3 reaches degree-1 vertices 2 and 4
+    rh = RootHypergraph(6, (frozenset({0, 1}), frozenset({2, 3}), frozenset({3, 4})))
+    rep = check_degree1_placement(rh, validate_decomposition(k27().decomposition))
+    assert rep == (False, ((0, (0, 1)),), ((3, 1, 2),))
 
 
 def test_degree1_placement_requires_validity():
     d = Decomposition(n=3, k=1, forests=(StarForest((Star(0, (1,)),)),))
     with pytest.raises(PreconditionError):
-        check_degree1_placement(d)
+        placement(d)
 
 
 def test_degree1_placement_not_applicable_for_star_decomposition():
     with pytest.raises(NotApplicableError):
-        check_degree1_placement(staircase(5))
+        placement(staircase(5))
 
 
 def test_broken_double_star_recognizer_accepts_construction():
     for t in (2, 3, 4, 6):
-        assert is_broken_double_star(broken_double_star(t).decomposition)
+        assert is_bds(broken_double_star(t).decomposition)
 
 
 def relabeled(d: Decomposition, rng: random.Random) -> Decomposition:
@@ -420,7 +436,7 @@ def test_broken_double_star_recognizer_survives_relabeling():
     for t in range(3, 41):
         d = broken_double_star(t).decomposition
         for _ in range(20):
-            assert is_broken_double_star(relabeled(d, rng)), t
+            assert is_bds(relabeled(d, rng)), t
 
 
 def k4_three_forest_decompositions():
@@ -449,7 +465,7 @@ def test_broken_double_star_on_k4_is_the_one_factorization_in_any_orientation():
     decompositions = list(k4_three_forest_decompositions())
     assert len(decompositions) == 720
     assert all(validate_decomposition(d).ok for d in decompositions)
-    accepted = [d for d in decompositions if is_broken_double_star(d)]
+    accepted = [d for d in decompositions if is_bds(d)]
     assert accepted == [d for d in decompositions if all(len(f.stars) == 2 for f in d.forests)]
     assert len(accepted) == 384
 
@@ -457,23 +473,23 @@ def test_broken_double_star_on_k4_is_the_one_factorization_in_any_orientation():
 def test_broken_double_star_rejects_the_k4_staircase():
     # K_4 has a second 3-forest decomposition, so lb_bds is quoted only from n = 6
     assert validate_decomposition(staircase(4)).ok
-    assert not is_broken_double_star(staircase(4))
+    assert not is_bds(staircase(4))
 
 
 def test_broken_double_star_recognizer_rejects_k16():
-    assert not is_broken_double_star(k16().decomposition)
+    assert not is_bds(k16().decomposition)
 
 
 def test_broken_double_star_recognizer_rejects_other_counts():
-    assert not is_broken_double_star(conjecture_construction(12, 2).decomposition)
+    assert not is_bds(conjecture_construction(12, 2).decomposition)
 
 
 def test_broken_double_star_not_applicable_odd_n():
     with pytest.raises(NotApplicableError):
-        is_broken_double_star(k27().decomposition)
+        is_bds(k27().decomposition)
 
 
 def test_matching_completion_of_conjecture_at_k_equals_t():
     # with k = n/2 the whole matching fits into one forest: the t+1 object
     d = conjecture_construction(8, 4).decomposition
-    assert is_broken_double_star(d)
+    assert is_bds(d)
