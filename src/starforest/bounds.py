@@ -6,7 +6,8 @@ aggregation never silently weakens or overstates a bound.  Upper bounds quoted
 by ``bound_report`` always come from a construction that was actually built
 and validated, tagged ``construction:<family>`` after its row of
 ``construct.FAMILIES`` (or from the exhaustive search when enabled), never
-from a bare formula.
+from a bare formula: a family's ``size`` formula only picks which family to
+build, and the build must match it.
 """
 
 from __future__ import annotations
@@ -112,14 +113,23 @@ class BoundReport(NamedTuple):
 def bound_report(n: int, k: int, budget=None) -> BoundReport:
     """Aggregate the proven bounds for (n, k) and compare with the conjecture.
 
+    Of the ``FAMILIES`` rows that apply, the first of least ``size`` is built
+    and validated; a forest count that differs from its size formula raises.
     Given a ``SearchBudget``, the exhaustive oracle contributes on both sides;
     a blown budget only downgrades the search contribution, never the report.
     """
     if n < 1 or k < 1 or n < k:
         raise PreconditionError("needs n >= k >= 1")
     lower, lower_source = safe_lower_bound(n, k)
-    ups = [(globals()[fam.builder](*args).decomposition.forest_count, f"construction:{name}")  # validated on build
-           for name, fam in FAMILIES.items() if fam.upper and (args := fam.upper(n, k))]
+    ups = []
+    sized = [(fam.size(*args), name, fam.builder, args)
+             for name, fam in FAMILIES.items() if fam.upper and (args := fam.upper(n, k))]
+    if sized:
+        size, name, builder, args = min(sized, key=lambda c: c[0])
+        count = globals()[builder](*args).decomposition.forest_count  # validated on build
+        if count != size:
+            raise AssertionError(f"{name}({', '.join(map(str, args))}) built {count} forests, its size formula says {size}")
+        ups.append((count, f"construction:{name}"))
 
     if budget is not None:
         from .search import SearchStatus, f_exact  # deferred: search depends on this module

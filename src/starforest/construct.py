@@ -3,10 +3,13 @@ accounting for the families whose raw edge lists double-cover some edges, and
 ``FAMILIES``, the one table of them that ``construct --family`` and
 ``bound_report`` both read.
 
-Each builder assembles raw (center, leaves) tables per forest, then runs the
-shared dedup pass: forests are processed in their canonical emission order and
-the first forest to claim an edge keeps it.  Removing a later copy deletes one
-leaf, which can only shrink or drop a star, so component bounds survive.
+Each builder assembles raw (center, leaves) tables per forest and hands them
+to ``_finalize``.  An exact family (bds, conjecture and f2, k27), whose tables
+place every edge once, becomes stars as written.  The others (k4gen, k16,
+blowup, f3) run the shared dedup pass: forests are processed in their
+canonical emission order and the first forest to claim an edge keeps it.
+Removing a later copy deletes one leaf, which can only shrink or drop a star,
+so component bounds survive.  Either way the result is validated.
 """
 
 from __future__ import annotations
@@ -59,33 +62,20 @@ def _finalize(
     labels: LabelScheme | None = None,
     expect_exact: bool = False,
 ) -> ConstructionOutput:
-    claimed: set[int] = set()  # edge (u, v), u < v, as the key u*n + v; validation below checks the ids
-    duplicates: set[Edge] = set()
-    forests: list[StarForest] = []
-    slots: list[int] = []
-    for _, raw in named_forests:
-        stars: list[Star] = []
-        nslots = 0
-        for center, leaves in raw:
-            kept: list[int] = []
-            nslots += len(leaves)
-            cn = center * n
-            for leaf in leaves:
-                # a self-loop keeps its leaf, so Star rejects it below
-                key = cn + leaf if center < leaf else leaf * n + center
-                if key in claimed:
-                    duplicates.add((center, leaf) if center < leaf else (leaf, center))
-                else:
-                    claimed.add(key)
-                    kept.append(leaf)
-            if kept:
-                stars.append(Star(center, tuple(kept)))
-        forests.append(StarForest(tuple(stars)))
-        slots.append(nslots)
+    """The raw tables as a ``ConstructionOutput``, validated as a decomposition of K_n into k-star-forests.
 
-    raw_duplicates = tuple(sorted(duplicates))
-    if expect_exact and raw_duplicates:
-        raise AssertionError(f"{family}: unexpected duplicate edges {raw_duplicates[:8]}")
+    With ``expect_exact`` the tables must place every edge once: each raw star
+    becomes a ``Star`` as written, and an edge placed twice fails validation
+    as ``duplicated``.  Otherwise ``_dedup`` keeps each edge's first placement
+    and the edges it dropped go to ``raw_duplicates``.
+    """
+    slots = [sum(len(leaves) for _, leaves in raw) for _, raw in named_forests]
+    if expect_exact:
+        forests = [StarForest(tuple(Star(center, tuple(leaves)) for center, leaves in raw))
+                   for _, raw in named_forests]
+        raw_duplicates: tuple[Edge, ...] = ()
+    else:
+        forests, raw_duplicates = _dedup(n, named_forests)
 
     d = Decomposition(n=n, k=k, forests=tuple(forests), labels=labels)
     report = validate_decomposition(d)
@@ -102,6 +92,30 @@ def _finalize(
         provenance=tuple(name for name, _ in named_forests),
         raw_edge_slots=tuple(slots),
     )
+
+
+def _dedup(n: int, named_forests: list[tuple[str, RawForest]]) -> tuple[list[StarForest], tuple[Edge, ...]]:
+    """The forests with each edge kept at its first placement, and the sorted edges placed more than once."""
+    claimed: set[int] = set()  # edge (u, v), u < v, as the key u*n + v; validation checks the ids
+    duplicates: set[Edge] = set()
+    forests: list[StarForest] = []
+    for _, raw in named_forests:
+        stars: list[Star] = []
+        for center, leaves in raw:
+            kept: list[int] = []
+            cn = center * n
+            for leaf in leaves:
+                # a self-loop keeps its leaf, so Star rejects it
+                key = cn + leaf if center < leaf else leaf * n + center
+                if key in claimed:
+                    duplicates.add((center, leaf) if center < leaf else (leaf, center))
+                else:
+                    claimed.add(key)
+                    kept.append(leaf)
+            if kept:
+                stars.append(Star(center, tuple(kept)))
+        forests.append(StarForest(tuple(stars)))
+    return forests, tuple(sorted(duplicates))
 
 
 # ---------------------------------------------------------------------------
@@ -422,20 +436,27 @@ class Family(NamedTuple):
     builder: str  # callers look it up by name, so a builder patched on their module runs
     # for bound_report: (n, k) -> the builder's args for a k-star-forest decomposition of K_n, or None
     upper: Callable[[int, int], tuple[int, ...] | None] | None = None
+    # for bound_report, on every row with an upper: the builder's args -> its forest count
+    size: Callable[..., int] | None = None
 
 
-# bound_report's priority order: min() keeps the first of equal sizes, and
+# bound_report's priority order: it builds the first family of least size, and
 # conjecture ties f2, f3 and k4gen wherever both apply; bds is quoted only
 # where 2k > n, as at 2k = n it ties conjecture
 FAMILIES: dict[str, Family] = {
-    "bds": Family(("t",), "broken_double_star", lambda n, k: (n // 2,) if n % 2 == 0 and n >= 6 and 2 * k > n else None),
-    "f2": Family(("n",), "f2_construction", lambda n, k: (n,) if k >= 2 and n % 2 == 0 and n >= 4 else None),
+    "bds": Family(("t",), "broken_double_star", lambda n, k: (n // 2,) if n % 2 == 0 and n >= 6 and 2 * k > n else None,
+                  lambda t: t + 1),
+    "f2": Family(("n",), "f2_construction", lambda n, k: (n,) if k >= 2 and n % 2 == 0 and n >= 4 else None,
+                 lambda n: -(-3 * n // 4)),
     "k27": Family((), "k27"),
-    "f3": Family(("n",), "f3_construction", lambda n, k: (n,) if k >= 3 and n >= 27 and n % 27 == 0 else None),
+    "f3": Family(("n",), "f3_construction", lambda n, k: (n,) if k >= 3 and n >= 27 and n % 27 == 0 else None,
+                 lambda n: 5 * n // 9),
     "k16": Family((), "k16"),
     "k4gen": Family(("m",), "k4_construction",
-                    lambda n, k: ((n - 4) // 12,) if k >= 4 and n >= 16 and n % 12 == 4 else None),
+                    lambda n, k: ((n - 4) // 12,) if k >= 4 and n >= 16 and n % 12 == 4 else None,
+                    lambda m: 6 * m + 4),
     "conjecture": Family(("n", "k"), "conjecture_construction",
-                         lambda n, k: (n, k) if k > 2 and n >= 2 * k and n % 2 == 0 else None),
+                         lambda n, k: (n, k) if k > 2 and n >= 2 * k and n % 2 == 0 else None,
+                         lambda n, k: n // 2 - (-n // (2 * k))),
     "blowup": Family(("in", "t"), "blowup"),
 }

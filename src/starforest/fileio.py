@@ -93,8 +93,20 @@ def _header_text(what: str, text: str) -> str:
     return text
 
 
+class _Spelling(dict[int, str]):
+    """Vertex id -> its decimal text, entered the first time ``serialize`` writes the id.
+
+    It holds only the ids that appear in the decomposition, never anything of size n.
+    """
+
+    def __missing__(self, v: int) -> str:
+        text = self[v] = str(v)
+        return text
+
+
 def serialize(f: DecompositionFile) -> str:
     d = f.decomposition
+    spell = _Spelling()  # each vertex recurs on star line after star line, so it is spelled once
     lines = [_HEADER, f"n {d.n}", f"k {d.k}"]
     if d.labels is not None:
         suffix = "" if d.labels.param is None else f" {d.labels.param}"
@@ -110,7 +122,7 @@ def serialize(f: DecompositionFile) -> str:
     for forest, name in zip(d.forests, f.provenance):
         lines.append("forest" if name is None else f"forest {_header_text('forest name', name)}")
         for star in forest.stars:
-            lines.append(f"star {star.center} : " + " ".join([str(v) for v in star.leaves]))
+            lines.append(f"star {spell[star.center]} : " + " ".join(map(spell.__getitem__, star.leaves)))
     return "\n".join(lines) + "\n"
 
 

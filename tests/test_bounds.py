@@ -6,6 +6,7 @@ from starforest import (
     PreconditionError,
     SearchBudget,
     bound_report,
+    bounds,
     conjecture_value,
     f3_equality_feasible,
     lb_bds,
@@ -13,6 +14,7 @@ from starforest import (
     lb_star_forest,
 )
 from starforest.bounds import safe_lower_bound
+from starforest.construct import FAMILIES
 
 
 def test_lb_star_forest_values():
@@ -120,6 +122,33 @@ def test_bound_report_construction_sizes_always_validated():
     assert r.upper == 30
     r = bound_report(12, 2)
     assert r.upper == 9  # ceil(36/4)
+
+
+def test_bound_report_builds_one_construction_per_row(monkeypatch):
+    # only the family quoted as the upper bound is built, once, and rows no family reaches build none
+    calls = []
+    for fam in FAMILIES.values():
+        if fam.upper is not None:
+            real = getattr(bounds, fam.builder)
+            monkeypatch.setattr(bounds, fam.builder, lambda *args, real=real: calls.append(args) or real(*args))
+    for k in range(1, 9):
+        for n in range(k, 61):
+            calls.clear()
+            r = bound_report(n, k)
+            candidates = [name for name, fam in FAMILIES.items() if fam.upper and fam.upper(n, k)]
+            assert len(calls) == (1 if candidates else 0), (n, k)
+            assert (r.upper_source is None) == (not candidates), (n, k)
+
+
+def test_bound_report_rejects_a_size_formula_the_build_disagrees_with_under_optimize(run_optimized):
+    # the size formula only picks the build; a forest count it misstates must still fail with `python -O`
+    proc = run_optimized(
+        "from starforest import bound_report, construct\n"
+        "construct.FAMILIES['f2'] = construct.FAMILIES['f2']._replace(size=lambda n: 1)\n"
+        "bound_report(12, 2)\n"
+    )
+    assert proc.returncode != 0
+    assert "AssertionError: f2(12) built 9 forests, its size formula says 1" in proc.stderr
 
 
 def test_bound_report_no_construction_for_k1():

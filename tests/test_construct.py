@@ -283,13 +283,16 @@ def test_blowup_rejects_misaligned_provenance(names):
 
 
 def test_family_table_upper_args_build_a_fitting_decomposition():
-    # every (n, k) a family claims for bound_report builds K_n with at most k stars per forest
+    # every (n, k) a family claims for bound_report builds K_n with at most k
+    # stars per forest, in as many forests as its size formula says
     built: dict[tuple, tuple[int, int]] = {}
     for name, fam in construct.FAMILIES.items():
+        assert (fam.upper is None) == (fam.size is None), name
         for n, k in itertools.product(range(1, 61), range(1, 9)):
             if fam.upper and (args := fam.upper(n, k)):
                 if (name, args) not in built:
                     d = getattr(construct, fam.builder)(*args).decomposition
+                    assert d.forest_count == fam.size(*args), (name, args)
                     built[name, args] = (d.n, d.k)
                 assert built[name, args][0] == n and built[name, args][1] <= k, (name, n, k)
     assert {name for name, _ in built} == {"bds", "f2", "f3", "k4gen", "conjecture"}
@@ -320,6 +323,13 @@ def test_finalize_failure_lists_first_missing_edges():
     # nine edges are missing; the message shows the first five as edge tuples
     with pytest.raises(AssertionError, match=re.escape("missing=((0, 2), (0, 3), (0, 4), (1, 2), (1, 3)),")):
         construct._finalize(5, 1, [("a", [(0, [1])])], family="short")
+
+
+def test_finalize_exact_table_placing_an_edge_twice_fails_validation():
+    # an exact family skips the dedup pass, so validation's duplicated check catches the second copy
+    with pytest.raises(AssertionError, match=re.escape("twice: construction failed validation")) as exc:
+        construct._finalize(3, 2, [("a", [(0, [1, 2])]), ("b", [(1, [0, 2])])], family="twice", expect_exact=True)
+    assert "duplicated=(((0, 1), 2),))" in str(exc.value)
 
 
 def test_finalize_rejects_a_self_loop():

@@ -10,6 +10,8 @@ from starforest import (
     DecompositionFile,
     LabelScheme,
     ParseError,
+    Star,
+    StarForest,
     broken_double_star,
     construct,
     exists_decomposition,
@@ -215,6 +217,19 @@ def test_parse_huge_header_builds_nothing_of_size_n():
     finally:
         tracemalloc.stop()
     assert [len(fo.stars) for fo in f.decomposition.forests] == [2, 1]
+    assert peak < 100_000
+
+
+def test_serialize_huge_n_builds_nothing_of_size_n():
+    # the vertex spelling table holds only the vertices that appear
+    d = Decomposition(n=10**12, k=1, forests=(StarForest((Star(0, (1,)),)),))
+    tracemalloc.start()
+    try:
+        text = serialize(DecompositionFile(d))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text == "decomposition v1\nn 1000000000000\nk 1\nforest\nstar 0 : 1\n"
     assert peak < 100_000
 
 
