@@ -182,7 +182,7 @@ def cmd_analyze(args) -> int:
     rh = root_hypergraph(d)
     prof = degree_profile(rh)
     iso = check_no_isolated(rh)
-    counting = _report_or_reason(NotApplicableError, check_counting_inequality, rh)
+    counting = _report_or_reason(NotApplicableError, check_counting_inequality, rh, prof)
     placement = _report_or_reason(DecompositionError, check_degree1_placement, rh, report)
     bds = _report_or_reason(NotApplicableError, is_broken_double_star, d, report)
     if isinstance(bds, NotApplicableError):

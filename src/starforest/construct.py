@@ -371,14 +371,13 @@ def k4_construction(m: int) -> ConstructionOutput:
             stars.append((A(m, j), leaves))
         named.append((f"Z({fi})", stars))
 
+    out = _finalize(n, 4, named, family="k4gen", labels=LabelScheme("block12m4", m))
     # slot accounting: 4-star forests hold n-4 raw slots, 2-star forests n-2
-    for name, raw in named:
-        nslots = sum(len(leaves) for _, leaves in raw)
+    for name, nslots in zip(out.provenance, out.raw_edge_slots):
         want = n - 4 if name[0] in "XBC" else n - 2
         if nslots != want:
             raise AssertionError(f"{name}: {nslots} raw slots, expected {want}")
-
-    return _finalize(n, 4, named, family="k4gen", labels=LabelScheme("block12m4", m))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +401,7 @@ def blowup(base: DecompositionFile, t: int) -> ConstructionOutput:
     placed.  Every base is validated here, whatever its record type, so an
     invalid one is a ``PreconditionError`` before any table is built.
     """
-    d, family = base.decomposition, base.family or "decomposition"
-    names = [name or f"f{j}" for j, name in enumerate(base.provenance)]
+    d = base.decomposition
     if t < 1:
         raise PreconditionError("blowup needs t >= 1")
     m, n = d.forest_count, d.n
@@ -411,7 +409,13 @@ def blowup(base: DecompositionFile, t: int) -> ConstructionOutput:
         raise PreconditionError(f"blowup needs at most n-2 forests (m={m}, n={n})")
     if not validate_decomposition(d).ok:
         raise PreconditionError("blowup needs a valid base decomposition")
+    return _blowup(base, t)
 
+
+def _blowup(base: DecompositionFile, t: int) -> ConstructionOutput:
+    """``blowup``'s tables, finalized, for a base known to meet its preconditions, as ``k27()``'s output does."""
+    d, family = base.decomposition, base.family or "decomposition"
+    names = [name or f"f{j}" for j, name in enumerate(base.provenance)]
     named: list[tuple[str, RawForest]] = []
     for j, forest in enumerate(d.forests):
         for b in range(t):
@@ -421,14 +425,14 @@ def blowup(base: DecompositionFile, t: int) -> ConstructionOutput:
                 leaves += [star.center * t + bp for bp in range(t) if bp != b]
                 raw.append((star.center * t + b, leaves))
             named.append((f"{names[j]}@{b}", raw))
-    return _finalize(t * n, d.k, named, family=f"blowup({family},{t})")
+    return _finalize(t * d.n, d.k, named, family=f"blowup({family},{t})")
 
 
 def f3_construction(n: int) -> ConstructionOutput:
     """5n/9 three-star forests for any positive multiple of 27, by blowing up k27."""
     if n < 27 or n % 27 != 0:
         raise PreconditionError("needs a positive multiple of 27")
-    return blowup(k27(), n // 27)._replace(family="f3")
+    return _blowup(k27(), n // 27)._replace(family="f3")
 
 
 class Family(NamedTuple):

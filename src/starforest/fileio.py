@@ -28,12 +28,12 @@ line.  640 is the least limit CPython lets ``sys.set_int_max_str_digits`` set,
 so ``int()`` reads it under any setting; under the default of 4300 digits,
 ``str()`` also writes n(n-1)/2.
 
-The vertex tokens of star and ``duplicates`` lines are read through a per-file
-table from token to id.  A token not yet in it is entered when it is an integer
-below n, so a decomposition, whose vertices recur on line after line, checks
-each spelling once.  A line with any other token, or read before n, is re-read
-token by token, so an error and its line number do not depend on the table.
-The table holds only tokens that appear in the input, never anything of size n.
+The vertex tokens of star lines are read through a per-file table from token
+to id.  A token not yet in it is entered when it is an integer below n, so a
+decomposition, whose vertices recur on line after line, checks each spelling
+once.  A star line with any other token, and the one ``duplicates`` line, are
+read token by token, so an error and its line number do not depend on the
+table, which holds only the tokens that appear, never anything of size n.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
 
 
 class _VertexIds(dict[str, int]):
-    """Vertex token -> id, for the integer tokens of 0..n-1, entered as a star or ``duplicates`` line reads them.
+    """Vertex token -> id, for the integer tokens of 0..n-1, entered as star lines read them.
 
     A token of any other form raises ``KeyError`` and is not entered, so its
     line is re-read token by token, which words the error.
@@ -171,15 +171,9 @@ def _star_vertices(tokens: list[str], lineno: int, n: int) -> tuple[int, tuple[i
     return center, leaves
 
 
-def _duplicate_edges(tokens: list[str], lineno: int, ids: _VertexIds) -> list[Edge]:
+def _duplicate_edges(tokens: list[str], lineno: int) -> list[Edge]:
     """The edges of a ``duplicates`` line, each ``u-v`` with u < v; a vertex >= n is left to ``parse``."""
-    try:
-        edges = [(ids[u], ids[v]) for u, v in (token.split("-") for token in tokens[1:])]
-        if all(u < v for u, v in edges):
-            return edges
-    except (KeyError, ValueError):  # a bad token, one out of range, or a line before n
-        pass
-    edges = []  # read token by token for the error's wording
+    edges: list[Edge] = []
     for token in tokens[1:]:
         parts = token.split("-")
         if len(parts) != 2:
@@ -207,7 +201,6 @@ def parse(text: str) -> DecompositionFile:
     names: list[str | None] = []
     seen: set[str] = set()
     dup_lineno = 0
-    ids = _VertexIds(0)  # set anew once n is read; before it every token misses
 
     for lineno, rawline in enumerate(lines[1:], start=2):
         line = rawline.strip()
@@ -263,7 +256,7 @@ def parse(text: str) -> DecompositionFile:
             meta[tokens[1]] = line.split(None, 2)[2]
         elif directive == "duplicates":
             dup_lineno = lineno
-            duplicates = _duplicate_edges(tokens, lineno, ids)
+            duplicates = _duplicate_edges(tokens, lineno)
         elif directive == "forest":
             forests.append([])
             names.append(line.split(None, 1)[1] if len(tokens) > 1 else None)

@@ -252,11 +252,12 @@ class CountingReport(NamedTuple):
     ok: bool
 
 
-def check_counting_inequality(rh: RootHypergraph) -> CountingReport:
+def check_counting_inequality(rh: RootHypergraph, prof: DegreeProfile) -> CountingReport:
     """Numeric slack on both counting inequalities.
 
     The bipartite graph joins each degree-1 vertex to each degree->=2 vertex
     it shares a hyperedge with; only its edge count enters the report.
+    ``prof`` is ``degree_profile(rh)``, which the caller has already built.
 
     Raises:
         NotApplicableError: if some hyperedge has more than 3 or fewer than 2
@@ -269,7 +270,6 @@ def check_counting_inequality(rh: RootHypergraph) -> CountingReport:
     if any(s < 2 for s in sizes):
         raise NotApplicableError("root-hypergraph has a hyperedge smaller than 2")
 
-    prof = degree_profile(rh)
     degree = rh.degree
     bipartite_edge_count = 0
     for e in rh.hyperedges:

@@ -196,7 +196,7 @@ def test_criterion_9_property_battery():
             sizes = {len(e) for e in rh.hyperedges}
             if sizes <= {2, 3}:
                 assert prof.degree_sum == 3 * rh.m - prof.r  # degree sum identity
-                report = check_counting_inequality(rh)
+                report = check_counting_inequality(rh, prof)
                 assert report.ok
 
 

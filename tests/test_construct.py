@@ -254,13 +254,14 @@ def test_blowup_of_parsed_file_matches_construction_output():
 
 
 def test_blowup_validates_every_base(monkeypatch):
-    # _finalize validates k27 and each blowup; blowup's precondition validates
-    # its base whatever the record type, a ConstructionOutput included
+    # _finalize validates k27 and each blowup, so f3 validates its k27 base
+    # once; blowup's precondition validates every base it is handed, whatever
+    # the record type, a ConstructionOutput included
     parsed = parse(serialize(k27()))
     calls = []
     monkeypatch.setattr(construct, "validate_decomposition", lambda d: calls.append(d.n) or validate_decomposition(d))
     f3_construction(54)
-    assert calls == [27, 27, 54]
+    assert calls == [27, 54]
     calls.clear()
     blowup(parsed, 2)
     assert calls == [27, 54]
@@ -346,3 +347,18 @@ def test_finalize_rejects_incomplete_table_under_optimize(run_optimized):
     )
     assert proc.returncode != 0
     assert "short: construction failed validation" in proc.stderr
+
+
+def test_k4_slot_accounting_raises_under_optimize(run_optimized):
+    # k4_construction checks the raw slot counts _finalize records, with an explicit raise
+    proc = run_optimized(
+        "from starforest import construct\n"
+        "finalize = construct._finalize\n"
+        "def skewed(*args, **kwargs):\n"
+        "    out = finalize(*args, **kwargs)\n"
+        "    return out._replace(raw_edge_slots=(out.raw_edge_slots[0] + 1, *out.raw_edge_slots[1:]))\n"
+        "construct._finalize = skewed\n"
+        "construct.k4_construction(1)\n"
+    )
+    assert proc.returncode != 0
+    assert proc.stderr.splitlines()[-1] == "AssertionError: X(0,0): 13 raw slots, expected 12"

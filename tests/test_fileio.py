@@ -85,7 +85,10 @@ def test_parse_rejects_repeated_leaf():
 @pytest.mark.parametrize("body, problem", [
     ("k 2\nforest\nstar 0 : 1\nn 4\n", "line 4: star before n was given"),
     ("n 4\nk 2\nmeta seed\n", "line 4: expected 'meta <key> <value>'"),
-], ids=["star-before-n", "meta-without-value"])
+    ("n 4\nk 2\nlabels\n", "line 4: expected 'labels <scheme> [param]'"),
+    ("n 16\nk 4\nlabels block12m4 1 2\n", "line 4: expected 'labels <scheme> [param]'"),
+    ("n 4\nk 2\nfamily\n", "line 4: empty family"),
+], ids=["star-before-n", "meta-without-value", "labels-without-scheme", "labels-with-two-params", "bare-family"])
 def test_parse_rejects_incomplete_lines(body, problem):
     with pytest.raises(ParseError) as exc:
         parse("decomposition v1\n" + body)
@@ -177,8 +180,8 @@ def test_parse_reports_first_out_of_range_vertex(star, vertex):
 
 
 def test_parse_reuses_read_tokens_with_their_values():
-    # the duplicates line enters '007' in the token table under its own spelling, and the last star line
-    # reads it from there; '-0' stays out and is re-read on each line
+    # line 9 enters '007' in the token table under its own spelling, and the last star line reads it
+    # from there; '-0' stays out and is re-read on each line, and the duplicates line reads token by token
     f = parse("decomposition v1\nn 8\nk 2\nduplicates 1-007\nforest\nstar -0 : 007 1\nstar 2 : 3\n"
               "forest\nstar 007 : -0 3\nstar 1 : 2\nforest\nstar 007 : 1\n")
     assert f.raw_duplicates == ((1, 7),)
@@ -239,7 +242,7 @@ def test_serialize_huge_n_builds_nothing_of_size_n():
     ("", ()),
 ])
 def test_parse_reads_duplicate_edges(edges, read):
-    # after n the tokens are read through the vertex table; before n each one misses it and is re-read
+    # the same edges whether the line comes after n or before it
     assert parse(f"decomposition v1\nn 12\nk 2\nduplicates {edges}\n").raw_duplicates == read
     assert parse(f"decomposition v1\nduplicates {edges}\nn 12\nk 2\n").raw_duplicates == read
 
@@ -255,7 +258,7 @@ def test_parse_reads_duplicate_edges(edges, read):
     ("0-1 0-99", "vertex 99 out of range for n=12"),
 ], ids=["dash-count", "double-dash", "minus-zero", "empty-end", "plus", "arabic-indic", "equal-ends", "out-of-range"])
 def test_parse_duplicate_edge_errors(edges, problem):
-    # the same message whether the line comes after n (the table path) or before it (every token re-read)
+    # the same message whether the line comes after n or before it
     for lineno, body in ((4, f"n 12\nk 2\nduplicates {edges}\n"), (2, f"duplicates {edges}\nn 12\nk 2\n")):
         with pytest.raises(ParseError) as exc:
             parse("decomposition v1\n" + body)

@@ -92,7 +92,7 @@ def _examples() -> dict:
         RootHypergraph: rh,
         IsolationReport: check_no_isolated(rh),
         DegreeProfile: degree_profile(rh),
-        CountingReport: check_counting_inequality(rh),
+        CountingReport: check_counting_inequality(rh, degree_profile(rh)),
         Degree1PlacementReport: check_degree1_placement(rh, report),
         SearchBudget: SearchBudget(),
         SearchResult: exists_decomposition(4, 2, 2),

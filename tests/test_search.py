@@ -242,6 +242,15 @@ def test_f_exact_budget_runs_out_inside_and_after_an_exhaustion():
     assert (res.interval, res.nodes_explored) == ((6, 6), 374)
 
 
+def test_f_exact_budget_runs_out_between_attempts():
+    # F_2(9) from the lower bound 6: exhausting m=6 takes exactly 961 nodes,
+    # so a budget of 961 stops before m=7 starts, not inside it
+    res = f_exact(9, 2, SearchBudget(max_nodes=961))
+    assert (res.status, res.value, res.certificate) == (SearchStatus.BUDGET_EXCEEDED, None, None)
+    assert res.attempts == ((6, SearchStatus.EXHAUSTED_NOT_FOUND),)
+    assert (res.interval, res.nodes_explored) == ((7, 8), 961)
+
+
 def test_too_few_centers_exhaust_at_the_root():
     # with m < n-1 every vertex centers a star somewhere, and m forests hold
     # at most k*m stars: k*m < n is decided before any node, at any n.  For

@@ -24,6 +24,7 @@ from starforest import (
     complete_graph_edges,
     conjecture_construction,
     degree_profile,
+    exists_decomposition,
     f2_construction,
     is_broken_double_star,
     k16,
@@ -357,7 +358,7 @@ def test_degree_profile_broken_double_star():
 
 def test_counting_inequality_k27_holds_with_equality():
     rh = root_hypergraph(k27().decomposition)
-    report = check_counting_inequality(rh)
+    report = check_counting_inequality(rh, degree_profile(rh))
     assert report.ok
     assert report.lhs == report.rhs == 18
     assert report.bipartite_edge_count == 18
@@ -367,14 +368,15 @@ def test_counting_inequality_k27_holds_with_equality():
 
 def test_counting_inequality_flags_impossible_profile():
     rh = RootHypergraph(3, (frozenset({0, 1}), frozenset({0, 2})))
-    report = check_counting_inequality(rh)
+    report = check_counting_inequality(rh, degree_profile(rh))
     assert not report.ok
     assert report.lhs == 2 and report.rhs == 1
 
 
 def test_counting_not_applicable_for_large_hyperedges():
+    rh = root_hypergraph(k16().decomposition)
     with pytest.raises(NotApplicableError):
-        check_counting_inequality(root_hypergraph(k16().decomposition))
+        check_counting_inequality(rh, degree_profile(rh))
 
 
 def test_degree1_placement_k27():
@@ -403,6 +405,16 @@ def test_degree1_placement_requires_validity():
 def test_degree1_placement_not_applicable_for_star_decomposition():
     with pytest.raises(NotApplicableError):
         placement(staircase(5))
+
+
+def test_degree1_placement_not_applicable_with_a_one_star_forest():
+    # the search's certificate for K_10 in 8 two-star forests has m < n-1, but
+    # one forest is a single star, so its hyperedge holds one vertex
+    d = exists_decomposition(10, 2, 8).certificate
+    assert validate_decomposition(d).ok
+    assert sorted(len(e) for e in root_hypergraph(d).hyperedges) == [1] + [2] * 7
+    with pytest.raises(NotApplicableError, match="^needs every hyperedge to have at least 2 vertices$"):
+        placement(d)
 
 
 def test_broken_double_star_recognizer_accepts_construction():
