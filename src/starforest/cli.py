@@ -182,7 +182,7 @@ def cmd_analyze(args) -> int:
     rh = root_hypergraph(d)
     prof = degree_profile(rh)
     iso = check_no_isolated(rh)
-    counting = _report_or_reason(NotApplicableError, check_counting_inequality, rh, prof)
+    counting = _report_or_reason(NotApplicableError, check_counting_inequality, prof)
     placement = _report_or_reason(DecompositionError, check_degree1_placement, rh, report)
     bds = _report_or_reason(NotApplicableError, is_broken_double_star, d, report)
     if isinstance(bds, NotApplicableError):
@@ -193,7 +193,7 @@ def cmd_analyze(args) -> int:
             "valid": report.ok,
             "hyperedges": [sorted(e) for e in rh.hyperedges],
             "degree_profile": {
-                "m": prof.m,
+                "m": rh.m,
                 "r": prof.r,
                 "p": {str(j): c for j, c in prof.p.items()},
                 "isolated": prof.isolated,
@@ -223,7 +223,7 @@ def cmd_analyze(args) -> int:
         members = ", ".join(map(d.label, sorted(e)))
         print(f"hyperedge {fi} [{label}]: {{{members}}}")
     pstr = " ".join(f"{j}->{c}" for j, c in prof.p.items())
-    print(f"degree profile: m={prof.m} r={prof.r} degree_sum={prof.degree_sum} "
+    print(f"degree profile: m={rh.m} r={prof.r} degree_sum={prof.degree_sum} "
           f"isolated={prof.isolated} p: {pstr}")
     print(f"no isolated vertex: {'ok' if iso.ok else 'VIOLATED'}"
           + ("" if iso.applicable else " (not forced: m >= n-1)"))

@@ -4,10 +4,10 @@ accounting for the families whose raw edge lists double-cover some edges, and
 ``bound_report`` both read.
 
 Each builder assembles raw (center, leaves) tables per forest and hands them
-to ``_finalize``.  An exact family (bds, conjecture and f2, k27), whose tables
-place every edge once, becomes stars as written.  The others (k4gen, k16,
-blowup, f3) run the shared dedup pass: forests are processed in their
-canonical emission order and the first forest to claim an edge keeps it.
+to ``_finalize``.  Tables with no more slots than K_n has edges (bds,
+conjecture and f2, k27, blowup with t = 1) become stars as written.  The
+others (k4gen, k16, blowup and f3 with t >= 2) run the shared dedup pass:
+forests go in canonical emission order and the first to claim an edge keeps it.
 Removing a later copy deletes one leaf, which can only shrink or drop a star,
 so component bounds survive.  Either way the result is validated.
 """
@@ -60,17 +60,16 @@ def _finalize(
     named_forests: list[tuple[str, RawForest]],
     family: str,
     labels: LabelScheme | None = None,
-    expect_exact: bool = False,
 ) -> ConstructionOutput:
     """The raw tables as a ``ConstructionOutput``, validated as a decomposition of K_n into k-star-forests.
 
-    With ``expect_exact`` the tables must place every edge once: each raw star
-    becomes a ``Star`` as written, and an edge placed twice fails validation
-    as ``duplicated``.  Otherwise ``_dedup`` keeps each edge's first placement
-    and the edges it dropped go to ``raw_duplicates``.
+    Tables with no more slots than K_n has edges must place every edge once:
+    each raw star becomes a ``Star`` as written, and an edge placed twice
+    fails validation as ``duplicated``.  Otherwise ``_dedup`` keeps each
+    edge's first placement and the edges it dropped go to ``raw_duplicates``.
     """
     slots = [sum(len(leaves) for _, leaves in raw) for _, raw in named_forests]
-    if expect_exact:
+    if sum(slots) <= n * (n - 1) // 2:
         forests = [StarForest(tuple(Star(center, tuple(leaves)) for center, leaves in raw))
                    for _, raw in named_forests]
         raw_duplicates: tuple[Edge, ...] = ()
@@ -143,7 +142,7 @@ def broken_double_star(t: int) -> ConstructionOutput:
         raise PreconditionError("broken double star needs t >= 2")
     named = _double_star_forests(t)
     named.append(("matching", [(i, [i + t]) for i in range(t)]))
-    out = _finalize(2 * t, t, named, family="bds", expect_exact=True)
+    out = _finalize(2 * t, t, named, family="bds")
     return out._replace(meta={"matching": " ".join(f"{i}-{i + t}" for i in range(t))})
 
 
@@ -161,7 +160,7 @@ def conjecture_construction(n: int, k: int) -> ConstructionOutput:
     for g, lo in enumerate(range(0, t, k)):
         group = [(i, [i + t]) for i in range(lo, min(lo + k, t))]
         named.append((f"matching({g})", group))
-    return _finalize(n, k, named, family="conjecture", expect_exact=True)
+    return _finalize(n, k, named, family="conjecture")
 
 
 def f2_construction(n: int) -> ConstructionOutput:
@@ -219,7 +218,7 @@ def k27() -> ConstructionOutput:
         for i in range(3) for j in range(3)]
     named += [(f"X({j})", [_k27_star(i, j, 1, _LAYER1_ROW_LEAVES) for i in range(3)]) for j in range(3)]
     named += [(f"Y({i})", [_k27_star(i, j, 2, _LAYER2_ROW_LEAVES) for j in range(3)]) for i in range(3)]
-    return _finalize(27, 3, named, family="k27", labels=LabelScheme("f3cube"), expect_exact=True)
+    return _finalize(27, 3, named, family="k27", labels=LabelScheme("f3cube"))
 
 
 # ---------------------------------------------------------------------------

@@ -83,10 +83,6 @@ class StarForest(CheckedRecord, NamedTuple("StarForest", [("stars", tuple[Star, 
     def __new__(cls, stars: tuple[Star, ...]) -> StarForest:
         return tuple.__new__(cls, (tuple(stars),))
 
-    @property
-    def centers(self) -> tuple[int, ...]:
-        return tuple(s.center for s in self.stars)
-
     def edge_count(self) -> int:
         return sum(len(s.leaves) for s in self.stars)
 

@@ -2,8 +2,8 @@
 and compute the root-hypergraph diagnostics behind the counting lower bounds.
 
 The root-hypergraph of a forest collection has one hyperedge per forest,
-containing exactly that forest's star centers.  Its degree profile feeds three
-checks used across the test suite:
+containing exactly that forest's star centers.  Its read-only degree table
+and its degree profile, which carries the hypergraph, feed three checks:
 
 * no-isolated-vertex (holds whenever fewer than n-1 forests are used),
 * the two center-placement conditions for degree-1 vertices,
@@ -17,6 +17,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from functools import cached_property
 from itertools import chain, compress, filterfalse, repeat
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .core import (
@@ -184,14 +185,17 @@ class RootHypergraph(NamedTuple("RootHypergraph", [("n", int), ("hyperedges", tu
         return len(self.hyperedges)
 
     @cached_property
-    def degree(self) -> Counter[int]:
-        """Each center -> the hyperedges through it; sparse, a vertex of degree 0 has no entry."""
-        return Counter(chain.from_iterable(self.hyperedges))
+    def degree(self) -> MappingProxyType[int, int]:
+        """Each center -> the hyperedges through it, read-only; sparse, a vertex of degree 0 reads 0."""
+        return MappingProxyType(Counter(chain.from_iterable(self.hyperedges)))
+
+    def __reduce__(self):  # pickle cannot copy a read-only view, so a copy builds its own table
+        return type(self), tuple(self)
 
 
 def root_hypergraph(d: Decomposition) -> RootHypergraph:
     """One hyperedge per forest, holding exactly that forest's centers."""
-    return RootHypergraph(d.n, tuple(frozenset(f.centers) for f in d.forests))
+    return RootHypergraph(d.n, tuple(frozenset(s.center for s in f.stars) for f in d.forests))
 
 
 class IsolationReport(NamedTuple("IsolationReport", [
@@ -211,14 +215,16 @@ def check_no_isolated(rh: RootHypergraph) -> IsolationReport:
 
 
 class DegreeProfile(NamedTuple):
-    m: int
+    """The degree counts of ``hypergraph``, which the profile was read from; m is ``hypergraph.m``."""
+
+    hypergraph: RootHypergraph
     r: int  # number of size-2 hyperedges
-    p: dict[int, int]  # degree (>= 1) -> vertex count
+    p: MappingProxyType[int, int]  # degree (>= 1) -> vertex count, read-only, ascending
     isolated: int
     degree_sum: int
 
-    def p_j(self, j: int) -> int:
-        return self.p.get(j, 0)
+    def __reduce__(self):  # as for the hypergraph, a copy reads ``p`` again
+        return degree_profile, (self.hypergraph,)
 
 
 def degree_profile(rh: RootHypergraph) -> DegreeProfile:
@@ -237,8 +243,8 @@ def degree_profile(rh: RootHypergraph) -> DegreeProfile:
     sizes = {len(e) for e in rh.hyperedges}
     if sizes <= {2, 3} and degree_sum != 3 * rh.m - r:
         raise AssertionError(f"degree sum {degree_sum} != 3m - r = {3 * rh.m - r}")
-    p = dict(sorted(Counter(degree.values()).items()))
-    return DegreeProfile(m=rh.m, r=r, p=p, isolated=rh.n - len(degree), degree_sum=degree_sum)
+    p = MappingProxyType(dict(sorted(Counter(degree.values()).items())))
+    return DegreeProfile(hypergraph=rh, r=r, p=p, isolated=rh.n - len(degree), degree_sum=degree_sum)
 
 
 class CountingReport(NamedTuple):
@@ -252,32 +258,30 @@ class CountingReport(NamedTuple):
     ok: bool
 
 
-def check_counting_inequality(rh: RootHypergraph, prof: DegreeProfile) -> CountingReport:
-    """Numeric slack on both counting inequalities.
+def check_counting_inequality(prof: DegreeProfile) -> CountingReport:
+    """Numeric slack on both counting inequalities of ``prof.hypergraph``.
 
     The bipartite graph joins each degree-1 vertex to each degree->=2 vertex
-    it shares a hyperedge with; only its edge count enters the report.
-    ``prof`` is ``degree_profile(rh)``, which the caller has already built.
+    it shares a hyperedge with; only its edge count enters the report.  The
+    hyperedges and degrees are those of the hypergraph ``prof`` was read from.
 
     Raises:
         NotApplicableError: if some hyperedge has more than 3 or fewer than 2
             vertices (a lone center contributes no bipartite edge, which breaks
             the lower bound on the edge count).
     """
+    rh = prof.hypergraph
     sizes = [len(e) for e in rh.hyperedges]
     if any(s > 3 for s in sizes):
         raise NotApplicableError("root-hypergraph has a hyperedge larger than 3")
     if any(s < 2 for s in sizes):
         raise NotApplicableError("root-hypergraph has a hyperedge smaller than 2")
 
-    degree = rh.degree
-    bipartite_edge_count = 0
-    for e in rh.hyperedges:
-        ones = sum(1 for v in e if degree[v] == 1)
-        bipartite_edge_count += ones * (len(e) - ones)
+    ones = [sum(rh.degree[v] == 1 for v in e) for e in rh.hyperedges]  # degree-1 vertices per hyperedge
+    bipartite_edge_count = sum(o * (s - o) for o, s in zip(ones, sizes))
 
-    lhs = 2 * prof.p_j(1) - prof.r
-    rhs = prof.p_j(2) + sum(j * c for j, c in prof.p.items() if j >= 3)
+    lhs = 2 * prof.p.get(1, 0) - prof.r
+    rhs = prof.p.get(2, 0) + sum(j * c for j, c in prof.p.items() if j >= 3)
     counting_lhs = 5 * rh.n - 9 * rh.m + 2 * prof.r
     counting_rhs = -sum((2 * j - 5) * c for j, c in prof.p.items() if j >= 3)
     return CountingReport(

@@ -645,6 +645,12 @@ def test_readme_lists_every_family():
         assert set(re.findall(r"--(\w+)", entry)) >= set(fam.flags)
 
 
+def test_readme_library_example_runs_as_written():
+    section = README.read_text().split("## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+
+
 # stderr and exit code of `verify --in` on one malformed star; the Star cases
 # as the parser reported them while it still repeated the Star checks itself,
 # and a non-ASCII digit, which int() alone would read as center 3

@@ -320,6 +320,30 @@ def test_provenance_aligned_with_forests():
         assert len(out.provenance) == out.decomposition.forest_count
 
 
+@pytest.mark.parametrize("build, exact", [
+    (lambda: broken_double_star(5), True),
+    (lambda: f2_construction(12), True),
+    (lambda: conjecture_construction(16, 4), True),
+    (k27, True),
+    (lambda: blowup(k27(), 1), True),
+    (lambda: k4_construction(2), False),
+    (k16, False),
+    (lambda: f3_construction(54), False),
+], ids=["bds", "f2", "conjecture", "k27", "blowup-t1", "k4gen", "k16", "f3"])
+def test_finalize_dedups_only_tables_with_more_slots_than_edges(monkeypatch, build, exact):
+    # exact tables fill K_n once and become stars as written; the others double-place some edges
+    dedups = []
+    dedup = construct._dedup
+    monkeypatch.setattr(construct, "_dedup", lambda *args: dedups.append(1) or dedup(*args))
+    out = build()
+    n = out.decomposition.n
+    if exact:
+        assert out.raw_duplicates == () and sum(out.raw_edge_slots) == n * (n - 1) // 2
+    else:
+        assert out.raw_duplicates and sum(out.raw_edge_slots) > n * (n - 1) // 2
+    assert len(dedups) == (not exact)
+
+
 def test_finalize_failure_lists_first_missing_edges():
     # nine edges are missing; the message shows the first five as edge tuples
     with pytest.raises(AssertionError, match=re.escape("missing=((0, 2), (0, 3), (0, 4), (1, 2), (1, 3)),")):
@@ -327,9 +351,9 @@ def test_finalize_failure_lists_first_missing_edges():
 
 
 def test_finalize_exact_table_placing_an_edge_twice_fails_validation():
-    # an exact family skips the dedup pass, so validation's duplicated check catches the second copy
+    # no more slots than K_3 has edges skips the dedup pass, so validation's duplicated check catches the second copy
     with pytest.raises(AssertionError, match=re.escape("twice: construction failed validation")) as exc:
-        construct._finalize(3, 2, [("a", [(0, [1, 2])]), ("b", [(1, [0, 2])])], family="twice", expect_exact=True)
+        construct._finalize(3, 2, [("a", [(0, [1, 2])]), ("b", [(1, [0])])], family="twice")
     assert "duplicated=(((0, 1), 2),))" in str(exc.value)
 
 

@@ -56,7 +56,7 @@ FIELDS = {
     ValidationReport: ("ok", "malformed", "k_violations", "coverage"),
     RootHypergraph: ("n", "hyperedges"),
     IsolationReport: ("applicable", "ok", "hypergraph"),
-    DegreeProfile: ("m", "r", "p", "isolated", "degree_sum"),
+    DegreeProfile: ("hypergraph", "r", "p", "isolated", "degree_sum"),
     CountingReport: ("lhs", "rhs", "slack", "bipartite_edge_count", "counting_lhs", "counting_rhs",
                      "counting_slack", "ok"),
     Degree1PlacementReport: ("ok", "shared_degree1", "pinched_degree2"),
@@ -92,7 +92,7 @@ def _examples() -> dict:
         RootHypergraph: rh,
         IsolationReport: check_no_isolated(rh),
         DegreeProfile: degree_profile(rh),
-        CountingReport: check_counting_inequality(rh, degree_profile(rh)),
+        CountingReport: check_counting_inequality(degree_profile(rh)),
         Degree1PlacementReport: check_degree1_placement(rh, report),
         SearchBudget: SearchBudget(),
         SearchResult: exists_decomposition(4, 2, 2),

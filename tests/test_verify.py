@@ -1,5 +1,6 @@
 import io
 import json
+import pickle
 import random
 from collections import Counter
 from contextlib import redirect_stdout
@@ -344,9 +345,9 @@ def test_degree_profile_identities_checked_under_optimize(run_optimized, degree,
 def test_degree_profile_k27():
     # extraction gives nine once-centers (bottom layer) and eighteen twice-centers
     prof = degree_profile(root_hypergraph(k27().decomposition))
-    assert prof.m == 15 and prof.r == 0
+    assert prof.hypergraph.m == 15 and prof.r == 0
     assert prof.p == {1: 9, 2: 18}
-    assert prof.degree_sum == 45 == 3 * prof.m - prof.r
+    assert prof.degree_sum == 45 == 3 * prof.hypergraph.m - prof.r
     assert prof.isolated == 0
 
 
@@ -357,26 +358,47 @@ def test_degree_profile_broken_double_star():
 
 
 def test_counting_inequality_k27_holds_with_equality():
-    rh = root_hypergraph(k27().decomposition)
-    report = check_counting_inequality(rh, degree_profile(rh))
+    prof = degree_profile(root_hypergraph(k27().decomposition))
+    report = check_counting_inequality(prof)
     assert report.ok
     assert report.lhs == report.rhs == 18
     assert report.bipartite_edge_count == 18
-    assert degree_profile(rh).p_j(1) == 9
+    assert prof.p.get(1, 0) == 9
     assert report.counting_lhs == report.counting_rhs == 0
 
 
+def test_degree_tables_are_read_only():
+    # every check reads the one cached table, so neither it nor a profile's counts can be changed
+    rh = root_hypergraph(k27().decomposition)
+    prof = degree_profile(rh)
+    with pytest.raises(TypeError):
+        rh.degree[0] += 1
+    with pytest.raises(TypeError):
+        prof.p[1] = 0
+    assert rh.degree[27] == 0 and prof.p.get(3, 0) == 0  # a missing key still reads 0
+    assert prof.hypergraph is rh and degree_profile(rh) == prof
+
+
+def test_profile_pickles_with_its_hypergraph():
+    rh = root_hypergraph(k27().decomposition)
+    prof = degree_profile(rh)
+    assert rh.degree  # cached before pickling
+    assert pickle.loads(pickle.dumps(rh)) == rh
+    copied = pickle.loads(pickle.dumps(prof))
+    assert copied == prof and copied.p == {1: 9, 2: 18}
+    assert check_counting_inequality(copied) == check_counting_inequality(prof)
+
+
 def test_counting_inequality_flags_impossible_profile():
-    rh = RootHypergraph(3, (frozenset({0, 1}), frozenset({0, 2})))
-    report = check_counting_inequality(rh, degree_profile(rh))
+    report = check_counting_inequality(degree_profile(RootHypergraph(3, (frozenset({0, 1}), frozenset({0, 2})))))
     assert not report.ok
     assert report.lhs == 2 and report.rhs == 1
 
 
 def test_counting_not_applicable_for_large_hyperedges():
-    rh = root_hypergraph(k16().decomposition)
+    prof = degree_profile(root_hypergraph(k16().decomposition))
     with pytest.raises(NotApplicableError):
-        check_counting_inequality(rh, degree_profile(rh))
+        check_counting_inequality(prof)
 
 
 def test_degree1_placement_k27():
