@@ -1,15 +1,12 @@
-"""Deterministic generators for every decomposition family, with duplicate
-accounting for the families whose raw edge lists double-cover some edges, and
-``FAMILIES``, the one table of them that ``construct --family`` and
-``bound_report`` both read.
+"""Deterministic generators for every decomposition family, and ``FAMILIES``,
+the one table of them that ``construct --family`` and ``bound_report`` both
+read.
 
-Each builder assembles raw (center, leaves) tables per forest and hands them
-to ``_finalize``.  Tables with no more slots than K_n has edges (bds,
-conjecture and f2, k27, blowup with t = 1) become stars as written.  The
-others (k4gen, k16, blowup and f3 with t >= 2) run the shared dedup pass:
-forests go in canonical emission order and the first to claim an edge keeps it.
-Removing a later copy deletes one leaf, which can only shrink or drop a star,
-so component bounds survive.  Either way the result is validated.
+Each builder writes tables that place every edge of K_n once and hands them
+to ``_finalize``, which makes each raw star a ``Star`` as written and
+validates the result.  Where the paper's tables place an edge twice (k4gen,
+k16, blowup and f3), the builder writes it where they first place it, and
+``raw_edge_slots`` and ``raw_duplicates`` state the paper's tables.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from .core import (
 from .fileio import DecompositionFile
 from .verify import validate_decomposition
 
-RawStar = tuple[int, list[int]]
+RawStar = tuple[int, list[int] | tuple[int, ...]]
 RawForest = list[RawStar]
 
 
@@ -37,8 +34,9 @@ class ConstructionOutput(NamedTuple("ConstructionOutput", [
         ("raw_duplicates", tuple[Edge, ...]), ("meta", dict[str, str]), ("raw_edge_slots", tuple[int, ...])]),
         DecompositionFile):
     """A builder's ``DecompositionFile``, validated by ``_finalize``, with a sixth
-    field ``raw_edge_slots``: the pre-dedup leaf count per forest.  The first
-    base gives the six fields, ``repr`` and ``_replace``; the second ``hash``."""
+    field ``raw_edge_slots``: the leaf count per forest of the paper's tables,
+    duplicate placements included.  The first base gives the six fields,
+    ``repr`` and ``_replace``; the second ``hash``."""
 
     __slots__ = ()
 
@@ -54,29 +52,17 @@ class ConstructionOutput(NamedTuple("ConstructionOutput", [
         return cls(*base, raw_edge_slots=raw_edge_slots)
 
 
-def _finalize(
-    n: int,
-    k: int,
-    named_forests: list[tuple[str, RawForest]],
-    family: str,
-    labels: LabelScheme | None = None,
-) -> ConstructionOutput:
-    """The raw tables as a ``ConstructionOutput``, validated as a decomposition of K_n into k-star-forests.
+def _finalize(n: int, k: int, named_forests: list[tuple[str, RawForest]], family: str,
+              labels: LabelScheme | None = None) -> ConstructionOutput:
+    """The tables as a ``ConstructionOutput``, validated as a decomposition of K_n into k-star-forests.
 
-    Tables with no more slots than K_n has edges must place every edge once:
-    each raw star becomes a ``Star`` as written, and an edge placed twice
-    fails validation as ``duplicated``.  Otherwise ``_dedup`` keeps each
-    edge's first placement and the edges it dropped go to ``raw_duplicates``.
+    Each raw star becomes a ``Star`` as written, so an edge placed twice
+    fails validation as ``duplicated``.  ``raw_edge_slots`` is each forest's
+    leaf count and ``raw_duplicates`` is empty; a builder whose paper tables
+    place some edges twice replaces both.
     """
-    slots = [sum(len(leaves) for _, leaves in raw) for _, raw in named_forests]
-    if sum(slots) <= n * (n - 1) // 2:
-        forests = [StarForest(tuple(Star(center, tuple(leaves)) for center, leaves in raw))
-                   for _, raw in named_forests]
-        raw_duplicates: tuple[Edge, ...] = ()
-    else:
-        forests, raw_duplicates = _dedup(n, named_forests)
-
-    d = Decomposition(n=n, k=k, forests=tuple(forests), labels=labels)
+    forests = tuple(StarForest(tuple(Star(center, leaves) for center, leaves in raw)) for _, raw in named_forests)
+    d = Decomposition(n=n, k=k, forests=forests, labels=labels)
     report = validate_decomposition(d)
     if not report.ok:
         raise AssertionError(
@@ -87,34 +73,9 @@ def _finalize(
     return ConstructionOutput(
         decomposition=d,
         family=family,
-        raw_duplicates=raw_duplicates,
         provenance=tuple(name for name, _ in named_forests),
-        raw_edge_slots=tuple(slots),
+        raw_edge_slots=tuple(f.edge_count() for f in forests),
     )
-
-
-def _dedup(n: int, named_forests: list[tuple[str, RawForest]]) -> tuple[list[StarForest], tuple[Edge, ...]]:
-    """The forests with each edge kept at its first placement, and the sorted edges placed more than once."""
-    claimed: set[int] = set()  # edge (u, v), u < v, as the key u*n + v; validation checks the ids
-    duplicates: set[Edge] = set()
-    forests: list[StarForest] = []
-    for _, raw in named_forests:
-        stars: list[Star] = []
-        for center, leaves in raw:
-            kept: list[int] = []
-            cn = center * n
-            for leaf in leaves:
-                # a self-loop keeps its leaf, so Star rejects it
-                key = cn + leaf if center < leaf else leaf * n + center
-                if key in claimed:
-                    duplicates.add((center, leaf) if center < leaf else (leaf, center))
-                else:
-                    claimed.add(key)
-                    kept.append(leaf)
-            if kept:
-                stars.append(Star(center, tuple(kept)))
-        forests.append(StarForest(tuple(stars)))
-    return forests, tuple(sorted(duplicates))
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +191,8 @@ def k16() -> ConstructionOutput:
     """Decomposition of K_16 into ten 4-star-forests over blocks A0, B, C, A1.
 
     K_16 is the m=1 member of the 12m+4 family, kept under its own family
-    name.  The raw tables place 128 edge slots; the eight diagonal edges
-    P(i)P(i+2) of the four blocks are each placed twice and deduplicated.
+    name.  The paper's tables place 128 edge slots; the eight diagonal edges
+    P(i)P(i+2) of the four blocks are each placed twice there and once here.
     """
     return k4_construction(1)._replace(family="k16")
 
@@ -241,9 +202,12 @@ def k4_construction(m: int) -> ConstructionOutput:
 
     Blocks A_0..A_m, B_0..B_{m-1}, C_0..C_{m-1} of size 4.  Forests: one per
     quad {A_k(i), B_k(i), C_k(i), A_{k+1}(i)}, one per B block, one per C
-    block, and four two-star forests rooted in A_0 (Y) and A_m (Z).  Every
-    4-star forest places n-4 raw edge slots and every 2-star forest n-2; the
-    n/2 diagonal edges P_k(i)P_k(i+2) are placed twice and deduplicated.
+    block, and four two-star forests rooted in A_0 (Y) and A_m (Z).  In the
+    paper's tables every 4-star forest places n-4 edge slots and every 2-star
+    forest n-2, and the n/2 diagonal edges P_k(i)P_k(i+2) are placed twice;
+    ``raw_edge_slots`` keeps those counts.  Here X(k,i) with i in {2, 3}
+    leaves its diagonals B_k(i)B_k(i+2), C_k(i)C_k(i+2), A_{k+1}(i)A_{k+1}(i+2)
+    to X(k,i-2), and Y(1) leaves A_0(j)A_0(j+2) to Y(0).
     """
     if m < 1:
         raise PreconditionError("k4_construction needs m >= 1")
@@ -268,6 +232,7 @@ def k4_construction(m: int) -> ConstructionOutput:
     # stars vertex-disjoint and every edge covered once.
     for k in range(m):
         for i in range(4):
+            own = i < 2  # X(k,i) places its three block diagonals itself; for i >= 2 X(k,i-2) did
             # star at A_k(i): one edge back inside its block, the rest down
             # into strictly lower blocks
             a_lo = [A(k, i - 1)]
@@ -278,7 +243,7 @@ def k4_construction(m: int) -> ConstructionOutput:
             for j in range(k - 1):
                 a_lo += [B(j, i - 1), B(j, i), C(j, i), C(j, i + 2)]
 
-            b = [A(k, i + 2), B(k, i - 1), B(k, i + 2), C(k, i + 1), A(k + 1, i + 1)]
+            b = [A(k, i + 2), B(k, i - 1), *[B(k, i + 2)] * own, C(k, i + 1), A(k + 1, i + 1)]
             for j in range(k):
                 b += [A(j, i), B(j, i + 1) if j < k - 1 else B(j, i - 1), C(j, i + 1)]
             for l in range(k + 1, m):
@@ -286,7 +251,7 @@ def k4_construction(m: int) -> ConstructionOutput:
 
             # the C star's long leaves are stated for center C_k(i+2); shifting
             # i by 2 re-homes them onto this forest's own center C_k(i)
-            c = [A(k, i + 1), B(k, i + 1), C(k, i - 1), C(k, i + 2), A(k + 1, i - 1)]
+            c = [A(k, i + 1), B(k, i + 1), C(k, i - 1), *[C(k, i + 2)] * own, A(k + 1, i - 1)]
             for j in range(k):
                 c += [A(j, i + 2),
                       B(j, i + 2) if j < k - 1 else B(j, i),
@@ -296,7 +261,7 @@ def k4_construction(m: int) -> ConstructionOutput:
                       B(l, i + 2),
                       C(l, i + 2) if l > k + 1 else C(l, i + 1)]
 
-            a_hi = [A(k + 1, i + 2)]
+            a_hi = [A(k + 1, i + 2)] * own
             if k + 1 <= m - 1:
                 a_hi += [B(k + 1, i - 1), B(k + 1, i + 1), C(k + 1, i), C(k + 1, i + 2)]
             for l in range(k + 2, m):
@@ -304,9 +269,10 @@ def k4_construction(m: int) -> ConstructionOutput:
             if k <= m - 2:  # at k = m-1 these would repeat short-distance edges
                 a_hi += [A(m, i), A(m, i + 1)]
 
-            named.append((f"X({k},{i})", [
-                (A(k, i), a_lo), (B(k, i), b), (C(k, i), c), (A(k + 1, i), a_hi),
-            ]))
+            quad: RawForest = [(A(k, i), a_lo), (B(k, i), b), (C(k, i), c)]
+            if a_hi:  # at k = m-1 and i >= 2 the A_m star has no edge left
+                quad.append((A(k + 1, i), a_hi))
+            named.append((f"X({k},{i})", quad))
 
     for k in range(m):
         bstars: RawForest = []
@@ -349,7 +315,8 @@ def k4_construction(m: int) -> ConstructionOutput:
     for fi in range(2):
         stars: RawForest = []
         for j in (2 * fi, 2 * fi + 1):
-            leaves = [B(0, j - 1), B(0, j + 1), C(0, j), C(0, j + 2), A(0, j + 2)]
+            # Y(0) places both A_0 diagonals, so Y(1) leaves its A_0(j+2) out
+            leaves = [B(0, j - 1), B(0, j + 1), C(0, j), C(0, j + 2), *[A(0, j + 2)] * (fi == 0)]
             # blocks adjacent to A_0 are already covered by the short rules
             for l in range(1, m):
                 leaves += [A(l, j), A(l, j + 2), B(l, j + 1), B(l, j - 1), C(l, j + 1), C(l, j - 1)]
@@ -371,12 +338,15 @@ def k4_construction(m: int) -> ConstructionOutput:
         named.append((f"Z({fi})", stars))
 
     out = _finalize(n, 4, named, family="k4gen", labels=LabelScheme("block12m4", m))
-    # slot accounting: 4-star forests hold n-4 raw slots, 2-star forests n-2
-    for name, nslots in zip(out.provenance, out.raw_edge_slots):
-        want = n - 4 if name[0] in "XBC" else n - 2
-        if nslots != want:
-            raise AssertionError(f"{name}: {nslots} raw slots, expected {want}")
-    return out
+    # slot accounting: 4-star forests hold n-4 slots and 2-star forests n-2 in
+    # the paper's tables, less the diagonals a forest leaves to an earlier one
+    paper = tuple(n - 4 if name[0] in "XBC" else n - 2 for name in out.provenance)
+    left = {f"X({k},{i})": 3 for k in range(m) for i in (2, 3)} | {"Y(1)": 2}
+    for name, want, nslots in zip(out.provenance, paper, out.raw_edge_slots):
+        if nslots != want - left.get(name, 0):
+            raise AssertionError(f"{name}: {nslots} edge slots, expected {want - left.get(name, 0)}")
+    diagonals = tuple((v, v + 2) for v in range(n) if v % 4 < 2)  # every block is 4 aligned vertices
+    return out._replace(raw_duplicates=diagonals, raw_edge_slots=paper)
 
 
 # ---------------------------------------------------------------------------
@@ -389,11 +359,13 @@ def blowup(base: DecompositionFile, t: int) -> ConstructionOutput:
 
     Vertex a of the base becomes the cluster {a*t+b : 0 <= b < t}.  Copy b of
     forest j keeps the base stars with every leaf fanned out across its
-    cluster, and each center additionally adopts its own other copies.  The
-    within-cluster edges are the only ones placed more than once; dedup keeps
-    the first copy in (j, b) order.  Unnamed base forests are called f{j} and
-    a base without a family is called "decomposition"; the base's
-    ``raw_duplicates`` and ``meta`` are not carried over.
+    cluster; in the first forest a center c centers, copy b of its star also
+    adopts c*t+b' for b' > b, which places the cluster's inside edges once.
+    ``raw_edge_slots`` and ``raw_duplicates`` state the paper's tables, where
+    every copy of a star adopts all t-1 other copies in every forest.
+    Unnamed base forests are called f{j} and a base without a family is
+    called "decomposition"; the base's ``raw_duplicates`` and ``meta`` are
+    not carried over.
 
     Requires a valid base using at most n-2 forests, which guarantees every
     base vertex is a center somewhere, so every cluster's inside edges get
@@ -416,15 +388,21 @@ def _blowup(base: DecompositionFile, t: int) -> ConstructionOutput:
     d, family = base.decomposition, base.family or "decomposition"
     names = [name or f"f{j}" for j, name in enumerate(base.provenance)]
     named: list[tuple[str, RawForest]] = []
+    slots: list[int] = []
+    placed: set[int] = set()  # the base centers whose clusters' inside edges are placed
+    copies = range(t)
     for j, forest in enumerate(d.forests):
-        for b in range(t):
-            raw: RawForest = []
-            for star in forest.stars:
-                leaves = [leaf * t + bp for leaf in star.leaves for bp in range(t)]
-                leaves += [star.center * t + bp for bp in range(t) if bp != b]
-                raw.append((star.center * t + b, leaves))
-            named.append((f"{names[j]}@{b}", raw))
-    return _finalize(t * d.n, d.k, named, family=f"blowup({family},{t})")
+        # each star's fanned leaves, built once and shared by the t copies
+        fanned = [(s.center * t, tuple([leaf * t + bp for leaf in s.leaves for bp in copies]), s.center not in placed)
+                  for s in forest.stars]
+        placed.update(s.center for s in forest.stars)
+        for b in copies:
+            named.append((f"{names[j]}@{b}", [(ct + b, leaves + tuple(range(ct + b + 1, ct + t)) if first else leaves)
+                                              for ct, leaves, first in fanned]))
+        slots += [t * forest.edge_count() + (t - 1) * len(forest.stars)] * t
+    out = _finalize(t * d.n, d.k, named, family=f"blowup({family},{t})")
+    inside = tuple((at + b, at + bp) for at in sorted(a * t for a in placed) for b in copies for bp in range(b + 1, t))
+    return out._replace(raw_duplicates=inside, raw_edge_slots=tuple(slots))
 
 
 def f3_construction(n: int) -> ConstructionOutput:

@@ -68,7 +68,7 @@ class DecompositionFile(CheckedRecord, NamedTuple("DecompositionFile", [
     """A decomposition with its header; ``provenance`` holds one name or None
     per forest, all None unless given.
 
-    ``raw_duplicates`` holds the edges the builder's raw tables placed twice,
+    ``raw_duplicates`` holds the edges the paper's tables for it place twice,
     and ``meta`` is a fresh dict unless one is given.  ``==`` compares every
     field; ``hash`` leaves ``meta`` out.
     """
@@ -94,7 +94,7 @@ def _header_text(what: str, text: str) -> str:
 
 
 class _Spelling(dict[int, str]):
-    """Vertex id -> its decimal text, entered the first time ``serialize`` writes the id.
+    """Vertex id -> its decimal text, entered the first time ``serialize`` or a DOT export writes the id.
 
     It holds only the ids that appear in the decomposition, never anything of size n.
     """
@@ -298,20 +298,22 @@ _PALETTE = (
 
 def export_dot(d: Decomposition) -> str:
     """One undirected graph with edges colored by forest.  Deterministic bytes."""
+    spell = _Spelling()  # each vertex is a leaf in forest after forest, so it is spelled once
     out = ["graph decomposition {"]
     for v in range(d.n):
         out.append(f'  {v} [label="{d.label(v)}"];')
     for fi, forest in enumerate(d.forests):
         tail = f' [color="{_PALETTE[fi % len(_PALETTE)]}"];'
         for star in forest.stars:  # one string per star, one line per leaf
-            head = f"  {star.center} -- "
-            out.append(head + f"{tail}\n{head}".join([str(v) for v in star.leaves]) + tail)
+            head = f"  {spell[star.center]} -- "
+            out.append(head + f"{tail}\n{head}".join(map(spell.__getitem__, star.leaves)) + tail)
     out.append("}")
     return "\n".join(out) + "\n"
 
 
 def export_dot_per_forest(d: Decomposition) -> list[str]:
     """One graph per forest, each restricted to the vertices that forest touches."""
+    spell = _Spelling()
     texts = []
     for fi, forest in enumerate(d.forests):
         out = [f"graph forest_{fi} {{"]
@@ -319,8 +321,8 @@ def export_dot_per_forest(d: Decomposition) -> list[str]:
         for v in touched:
             out.append(f'  {v} [label="{d.label(v)}"];')
         for star in forest.stars:
-            head = f"  {star.center} -- "
-            out.append(head + f";\n{head}".join([str(v) for v in star.leaves]) + ";")
+            head = f"  {spell[star.center]} -- "
+            out.append(head + f";\n{head}".join(map(spell.__getitem__, star.leaves)) + ";")
         out.append("}")
         texts.append("\n".join(out) + "\n")
     return texts

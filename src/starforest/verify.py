@@ -105,10 +105,13 @@ class CoverageReport(NamedTuple):
 
 
 class ValidationReport(NamedTuple):
+    """The verdict on ``decomposition``, which the report names so a check handed it can tell whose it is."""
+
     ok: bool
     malformed: tuple[str, ...]
     k_violations: tuple[int, ...]
     coverage: CoverageReport
+    decomposition: Decomposition
 
 
 def _repeats(items: Iterable) -> Iterator[tuple]:
@@ -174,7 +177,7 @@ def validate_decomposition(d: Decomposition) -> ValidationReport:
     missing = MissingEdges(n, covered)
     coverage = CoverageReport(total_edges=n * (n - 1) // 2, missing=missing, duplicated=duplicated)
     ok = not malformed and not k_violations and not missing and not duplicated
-    return ValidationReport(ok=ok, malformed=tuple(malformed), k_violations=k_violations, coverage=coverage)
+    return ValidationReport(ok, tuple(malformed), k_violations, coverage, decomposition=d)
 
 
 class RootHypergraph(NamedTuple("RootHypergraph", [("n", int), ("hyperedges", tuple[frozenset[int], ...])])):
@@ -193,9 +196,13 @@ class RootHypergraph(NamedTuple("RootHypergraph", [("n", int), ("hyperedges", tu
         return type(self), tuple(self)
 
 
+def _center_sets(d: Decomposition) -> tuple[frozenset[int], ...]:
+    return tuple(frozenset(s.center for s in f.stars) for f in d.forests)
+
+
 def root_hypergraph(d: Decomposition) -> RootHypergraph:
     """One hyperedge per forest, holding exactly that forest's centers."""
-    return RootHypergraph(d.n, tuple(frozenset(s.center for s in f.stars) for f in d.forests))
+    return RootHypergraph(d.n, _center_sets(d))
 
 
 class IsolationReport(NamedTuple("IsolationReport", [
@@ -313,14 +320,22 @@ def check_degree1_placement(rh: RootHypergraph, report: ValidationReport) -> Deg
     argument, so test suites treat any violation as fatal.
 
     Call it as ``check_degree1_placement(root_hypergraph(d),
-    validate_decomposition(d))``; only ``report.ok`` is read.
+    validate_decomposition(d))``.
 
     Raises:
-        PreconditionError: if the report is not valid.
+        PreconditionError: if the report is not valid, or ``rh`` is not the
+            root-hypergraph of the decomposition the report names.
         NotApplicableError: if m >= n-1 or some hyperedge has fewer than 2 vertices.
     """
     if not report.ok:
         raise PreconditionError("placement checks need a valid decomposition")
+    if rh.n != report.decomposition.n or rh.hyperedges != _center_sets(report.decomposition):
+        raise PreconditionError("placement checks need the report of the hypergraph's own decomposition")
+    return _degree1_placement(rh)
+
+
+def _degree1_placement(rh: RootHypergraph) -> Degree1PlacementReport:
+    """``check_degree1_placement``'s two conditions on ``rh``, taken as the root-hypergraph of a valid decomposition."""
     if rh.m >= rh.n - 1:
         raise NotApplicableError("needs fewer than n-1 forests")
     if any(len(e) < 2 for e in rh.hyperedges):
@@ -368,11 +383,14 @@ def is_broken_double_star(d: Decomposition, report: ValidationReport) -> bool:
     L(partner(v)) are disjoint and not empty.
 
     ``report`` is ``validate_decomposition(d)``; a ``d`` without the
-    (t+1)-forest shape is rejected before it is read.
+    (t+1)-forest shape is rejected before its verdict is read.
 
     Raises:
+        PreconditionError: if ``report`` names another decomposition.
         NotApplicableError: for odd n.
     """
+    if report.decomposition != d:
+        raise PreconditionError("broken double star recognition needs the report of its own decomposition")
     if d.n % 2 == 1:
         raise NotApplicableError("only defined for even vertex counts")
     t = d.n // 2

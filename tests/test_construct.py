@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import re
 from pathlib import Path
@@ -9,6 +10,8 @@ from starforest import (
     DecompositionFile,
     MalformedStarError,
     PreconditionError,
+    Star,
+    StarForest,
     blowup,
     bounds,
     broken_double_star,
@@ -320,28 +323,126 @@ def test_provenance_aligned_with_forests():
         assert len(out.provenance) == out.decomposition.forest_count
 
 
-@pytest.mark.parametrize("build, exact", [
-    (lambda: broken_double_star(5), True),
-    (lambda: f2_construction(12), True),
-    (lambda: conjecture_construction(16, 4), True),
-    (k27, True),
-    (lambda: blowup(k27(), 1), True),
-    (lambda: k4_construction(2), False),
-    (k16, False),
-    (lambda: f3_construction(54), False),
-], ids=["bds", "f2", "conjecture", "k27", "blowup-t1", "k4gen", "k16", "f3"])
-def test_finalize_dedups_only_tables_with_more_slots_than_edges(monkeypatch, build, exact):
-    # exact tables fill K_n once and become stars as written; the others double-place some edges
-    dedups = []
-    dedup = construct._dedup
-    monkeypatch.setattr(construct, "_dedup", lambda *args: dedups.append(1) or dedup(*args))
+@pytest.mark.parametrize("build", [
+    lambda: broken_double_star(5),
+    lambda: f2_construction(12),
+    lambda: conjecture_construction(16, 4),
+    k27,
+    lambda: blowup(k27(), 1),
+], ids=["bds", "f2", "conjecture", "k27", "blowup-t1"])
+def test_finalize_dedups_only_tables_with_more_slots_than_edges(build):
+    # these families' paper tables place each edge once: no duplicates, and
+    # raw_edge_slots counts the forests' own leaves
     out = build()
     n = out.decomposition.n
-    if exact:
-        assert out.raw_duplicates == () and sum(out.raw_edge_slots) == n * (n - 1) // 2
-    else:
-        assert out.raw_duplicates and sum(out.raw_edge_slots) > n * (n - 1) // 2
-    assert len(dedups) == (not exact)
+    assert out.raw_duplicates == () and sum(out.raw_edge_slots) == n * (n - 1) // 2
+    assert out.raw_edge_slots == tuple(f.edge_count() for f in out.decomposition.forests)
+
+
+BUILDS = {
+    "bds": lambda: broken_double_star(5),
+    "f2": lambda: f2_construction(12),
+    "conjecture": lambda: conjecture_construction(16, 4),
+    "k27": k27,
+    "blowup-t1": lambda: blowup(k27(), 1),
+    "k4gen": lambda: k4_construction(2),
+    "k16": k16,
+    "f3": lambda: f3_construction(54),
+    "blowup-k16-t3": lambda: blowup(k16(), 3),
+}
+
+
+@pytest.mark.parametrize("name", BUILDS)
+def test_every_builder_places_each_edge_once(monkeypatch, name):
+    # _finalize turns each table into stars as written, so the tables
+    # themselves hold exactly n(n-1)/2 slots; raw_edge_slots and
+    # raw_duplicates describe the paper's tables, which place the listed edges
+    # more than once and no others
+    tables = []
+
+    def recorded(n, k, named, *args, _finalize=construct._finalize, **kwargs):
+        tables.append(named)
+        return _finalize(n, k, named, *args, **kwargs)
+
+    monkeypatch.setattr(construct, "_finalize", recorded)
+    out = BUILDS[name]()
+    n = out.decomposition.n
+    assert sum(len(leaves) for _, raw in tables[-1] for _, leaves in raw) == n * (n - 1) // 2
+    assert out.decomposition.total_edge_slots() == n * (n - 1) // 2
+    assert all(raw >= f.edge_count() for raw, f in zip(out.raw_edge_slots, out.decomposition.forests))
+    assert (sum(out.raw_edge_slots) > n * (n - 1) // 2) == bool(out.raw_duplicates)
+    assert list(out.raw_duplicates) == sorted(set(out.raw_duplicates))
+    assert all(0 <= u < v < n for u, v in out.raw_duplicates)
+
+
+def first_placement_wins(n, named_forests):
+    """The reference dedup: forests in order, the first placement of an edge is
+    kept, an emptied star is dropped; returns the forests and the sorted edges
+    placed more than once."""
+    claimed, duplicates, forests = set(), set(), []
+    for _, raw in named_forests:
+        stars = []
+        for center, leaves in raw:
+            kept = []
+            for leaf in leaves:
+                edge = (min(center, leaf), max(center, leaf))
+                if edge in claimed:
+                    duplicates.add(edge)
+                else:
+                    claimed.add(edge)
+                    kept.append(leaf)
+            if kept:
+                stars.append(Star(center, tuple(kept)))
+        forests.append(StarForest(tuple(stars)))
+    return tuple(forests), tuple(sorted(duplicates))
+
+
+def paper_blowup_tables(base, t):
+    """blowup's tables as the paper writes them: copy b of every star fans its
+    leaves out across their clusters and adopts all t-1 other copies of its center."""
+    named = []
+    for j, forest in enumerate(base.decomposition.forests):
+        for b in range(t):
+            named.append((f"{base.provenance[j] or f'f{j}'}@{b}", [
+                (s.center * t + b, [leaf * t + bp for leaf in s.leaves for bp in range(t)]
+                 + [s.center * t + bp for bp in range(t) if bp != b])
+                for s in forest.stars]))
+    return named
+
+
+BASES = {
+    **{path.stem: lambda path=path: parse(path.read_text()) for path in sorted(GOLDEN.glob("*.sfd"))},
+    "conjecture-20-3": lambda: conjecture_construction(20, 3),
+    "f3-54": lambda: f3_construction(54),
+    "anonymous-k27": lambda: DecompositionFile(k27().decomposition),
+}
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+@pytest.mark.parametrize("base", BASES)
+def test_blowup_is_first_placement_dedup_of_the_paper_tables(base, t):
+    b = BASES[base]()
+    out = blowup(b, t)
+    named = paper_blowup_tables(b, t)
+    forests, duplicates = first_placement_wins(t * b.decomposition.n, named)
+    assert out.decomposition.forests == forests
+    assert out.provenance == tuple(name for name, _ in named)
+    assert out.raw_duplicates == duplicates
+    assert out.raw_edge_slots == tuple(sum(len(leaves) for _, leaves in raw) for _, raw in named)
+
+
+# recorded from the dedup pass these exact tables replaced: sha256 of the
+# serialized file and of repr(raw_edge_slots)
+@pytest.mark.parametrize("build, sfd, slots", [
+    (lambda: f3_construction(135), "94d9d510a6d5f6563a418b8595fa07f914dac7fd2daaf969b92d7ff5e4372dd8",
+     "58905578019a9303fc5e7d5fa8cb8062926472ea3e8b958b9288f91ff5b376d2"),
+    (lambda: k4_construction(10), "7baaaef6ff428eaca6770a2e1c535a6a9c0d45e3eddc7107d477d517d74a6943",
+     "57e9d7c70f0aa1c4ae89d37f62a056335f17b55cea1d5e68c528507aaa006cbb"),
+], ids=["f3-135", "k4gen-10"])
+def test_end_to_end_instances_keep_their_bytes(build, sfd, slots):
+    out = build()
+    assert hashlib.sha256(serialize(out).encode()).hexdigest() == sfd
+    assert hashlib.sha256(repr(out.raw_edge_slots).encode()).hexdigest() == slots
 
 
 def test_finalize_failure_lists_first_missing_edges():
@@ -351,14 +452,14 @@ def test_finalize_failure_lists_first_missing_edges():
 
 
 def test_finalize_exact_table_placing_an_edge_twice_fails_validation():
-    # no more slots than K_3 has edges skips the dedup pass, so validation's duplicated check catches the second copy
+    # tables become stars as written, so validation's duplicated check catches the second copy
     with pytest.raises(AssertionError, match=re.escape("twice: construction failed validation")) as exc:
         construct._finalize(3, 2, [("a", [(0, [1, 2])]), ("b", [(1, [0])])], family="twice")
     assert "duplicated=(((0, 1), 2),))" in str(exc.value)
 
 
 def test_finalize_rejects_a_self_loop():
-    # the dedup key is built inline and keeps the leaf, so Star's center-among-leaves check refuses it
+    # the table becomes stars as written, so Star's center-among-leaves check refuses it
     with pytest.raises(MalformedStarError):
         construct._finalize(3, 2, [("a", [(1, [0, 1, 2])]), ("b", [(0, [2])])], family="loop")
 
@@ -373,16 +474,18 @@ def test_finalize_rejects_incomplete_table_under_optimize(run_optimized):
     assert "short: construction failed validation" in proc.stderr
 
 
-def test_k4_slot_accounting_raises_under_optimize(run_optimized):
-    # k4_construction checks the raw slot counts _finalize records, with an explicit raise
+def test_k4_slot_check_raises_under_optimize(run_optimized):
+    # k4_construction checks each forest's edge slots, the paper's count less
+    # the diagonals X(0,2) leaves to X(0,0), with an explicit raise
     proc = run_optimized(
         "from starforest import construct\n"
         "finalize = construct._finalize\n"
         "def skewed(*args, **kwargs):\n"
         "    out = finalize(*args, **kwargs)\n"
-        "    return out._replace(raw_edge_slots=(out.raw_edge_slots[0] + 1, *out.raw_edge_slots[1:]))\n"
+        "    slots = out.raw_edge_slots\n"
+        "    return out._replace(raw_edge_slots=(*slots[:2], slots[2] + 1, *slots[3:]))\n"
         "construct._finalize = skewed\n"
         "construct.k4_construction(1)\n"
     )
     assert proc.returncode != 0
-    assert proc.stderr.splitlines()[-1] == "AssertionError: X(0,0): 13 raw slots, expected 12"
+    assert proc.stderr.splitlines()[-1] == "AssertionError: X(0,2): 10 edge slots, expected 9"

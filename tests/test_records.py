@@ -53,7 +53,7 @@ FIELDS = {
     DecompositionFile: ("decomposition", "family", "provenance", "raw_duplicates", "meta"),
     ConstructionOutput: ("decomposition", "family", "provenance", "raw_duplicates", "meta", "raw_edge_slots"),
     CoverageReport: ("total_edges", "missing", "duplicated"),
-    ValidationReport: ("ok", "malformed", "k_violations", "coverage"),
+    ValidationReport: ("ok", "malformed", "k_violations", "coverage", "decomposition"),
     RootHypergraph: ("n", "hyperedges"),
     IsolationReport: ("applicable", "ok", "hypergraph"),
     DegreeProfile: ("hypergraph", "r", "p", "isolated", "degree_sum"),

@@ -32,6 +32,7 @@ from starforest import (
     k27,
     root_hypergraph,
     validate_decomposition,
+    verify,
 )
 
 
@@ -413,9 +414,30 @@ def test_degree1_placement_f2_construction():
 def test_degree1_placement_flags_shared_and_pinched_vertices():
     # no valid decomposition has this root-hypergraph: 0 and 1 share a hyperedge
     # at degree 1, and degree-2 vertex 3 reaches degree-1 vertices 2 and 4
+    # nor a report, so the conditions are read by the check's inner step
     rh = RootHypergraph(6, (frozenset({0, 1}), frozenset({2, 3}), frozenset({3, 4})))
-    rep = check_degree1_placement(rh, validate_decomposition(k27().decomposition))
+    rep = verify._degree1_placement(rh)
     assert rep == (False, ((0, (0, 1)),), ((3, 1, 2),))
+
+
+def test_placement_checks_reject_another_decompositions_report():
+    # K_27 without its last forest, handed the full K_27's valid report: the
+    # placement check read ok=False with shared degree-1 vertices before the
+    # report named its decomposition
+    d = k27().decomposition
+    cut = d._replace(forests=d.forests[:-1])
+    report = validate_decomposition(d)
+    with pytest.raises(PreconditionError, match="^placement checks need the report of the hypergraph's own"):
+        check_degree1_placement(root_hypergraph(cut), report)
+    with pytest.raises(PreconditionError, match="^broken double star recognition needs the report of its own"):
+        is_broken_double_star(cut, report)
+    bds = broken_double_star(4).decomposition
+    with pytest.raises(PreconditionError):
+        is_broken_double_star(bds, validate_decomposition(broken_double_star(5).decomposition))
+    # an equal decomposition built again is the same decomposition
+    assert report.decomposition is d
+    assert check_degree1_placement(root_hypergraph(k27().decomposition), report).ok
+    assert is_broken_double_star(bds, validate_decomposition(broken_double_star(4).decomposition))
 
 
 def test_degree1_placement_requires_validity():
