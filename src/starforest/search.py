@@ -15,8 +15,9 @@ k-star-forests, in one of three ways:
 * otherwise ``hypergraph_exists`` decides it: it enumerates the forests'
   center sets and matches the edges into leaf slots.
 
-A node is one center-set placement, counted also when rule 6 of
-``hypergraph_exists`` then cuts it.  A search visits at most ``max_nodes``
+A node is one center-set placement that rules 1-4 and 6 of
+``hypergraph_exists`` admit; a share of a class that rule 6 cuts is skipped
+before it is placed, so it is no node.  A search visits at most ``max_nodes``
 of them and reports how many it visited: one that needs exactly
 ``max_nodes`` finishes, and the next placement past the budget stops it with
 BUDGET_EXCEEDED.  The clock is read whenever the node count reaches a
@@ -131,9 +132,27 @@ def hypergraph_exists(n: int, k: int, m: int, budget: SearchBudget | None = None
        the nonempty classes it leaves plus min(left * |C_f|, room after C_f)
        fall short of n, or when a class holds more than 2 ** left vertices.
 
+    Lemma (rule 6 share by share).  C_f walks the classes in order and tries
+    each class's shares largest first.  A share of t vertices from a class
+    of s leaves two pieces, t and s - t, each of at most 2 ** left vertices,
+    so exactly max(s - 2 ** left, 0) <= t <= min(s, 2 ** left) pass the
+    class cap.  After C_f the nonempty classes number those before it plus
+    one per class it splits (0 < t < s), so C_f must split at least
+    need = n - nonempty - min(left * |C_f|, room - |C_f|) classes.  A class
+    still to walk splits only if it holds two or more vertices and C_f takes
+    one of them, so a share is skipped when the splits so far, its own
+    included, plus min(vertices still to take, classes still to walk of two
+    or more vertices) fall short of need.  At the last class that sum is the
+    exact split count, so the walk yields precisely the placements rule 6
+    admits, in the order of the full enumeration, and builds none only for
+    rule 6 to cut it.
+
     A node is one center-set placement, counted and stopped by the budget as
-    the module docstring says; a recursion deeper than Python's limit stops
-    the search as BUDGET_EXCEEDED too.  FOUND carries a validated
+    the module docstring says.  The search recurses once per forest: the
+    walk over a forest's classes is a generator, off the call stack while
+    later forests are placed, and it adds one short-lived frame per class
+    only while it picks the next share.  A recursion deeper than Python's
+    limit stops the search as BUDGET_EXCEEDED too.  FOUND carries a validated
     certificate in the module's form; EXHAUSTED_NOT_FOUND is a proof.
     """
     if n < 1 or k < 1 or m < 1:
@@ -157,14 +176,43 @@ def hypergraph_exists(n: int, k: int, m: int, budget: SearchBudget | None = None
             cover = _leaf_cover(edges, member)
             return cover is not None
         left = m - f - 1  # sets after C_f
-        free = classes[0]
         bit = 1 << f
-        sizes = [len(c) for c in classes]
+        most = 1 << left  # the largest class rule 6 leaves
+        refined = [classes[0]]  # the classes after C_f
+
+        def shares(i: int, take: int, splits: int, rest: int, multi: int) -> Iterator[None]:
+            """C_f's shares of classes[i:], ``take`` vertices in all and at least
+            ``least`` from classes[0], largest first, less every share that
+            leaves fewer than ``need`` classes split (rule 6): it yields once
+            per placement, with ``refined`` set and C_f's bits in ``member``."""
+            if i == len(classes):
+                yield
+                return
+            c = classes[i]
+            rest -= len(c)  # the vertices in the classes after c
+            multi -= len(c) > 1  # and those classes of two or more vertices
+            low = max(take - rest, len(c) - most, least if i == 0 else 0, 0)  # the classes after c hold the rest
+            for t in range(min(take, len(c), most), low - 1, -1):
+                split = 0 < t < len(c)
+                if splits + split + min(take - t, multi) < need:
+                    continue
+                head, tail, mark = c[:t], c[t:], len(refined)
+                if i == 0:  # the free remainder stays refined[0], even when empty
+                    refined[0], tail = tail, []
+                refined.extend(p for p in (head, tail) if p)
+                for v in head:
+                    member[v] |= bit
+                yield from shares(i + 1, take - t, splits + split, rest, multi)
+                for v in head:
+                    member[v] ^= bit
+                del refined[mark:]
+
         for size in range(min(cap, room - left), 0, -1):
-            least = len(free) - allow - left * size  # free vertices C_f must take
+            least = len(classes[0]) - allow - left * size  # free vertices C_f must take
             if least > size:
                 break  # and more for a smaller C_f
-            for counts in _prefix_counts(sizes, size, least):
+            need = n - len(classes) + (not classes[0]) - min(left * size, room - size)  # classes C_f must split
+            for _ in shares(0, size, 0, n, sum(len(c) > 1 for c in classes)):
                 nodes += 1
                 if nodes == check:
                     if nodes > max_nodes:
@@ -173,23 +221,8 @@ def hypergraph_exists(n: int, k: int, m: int, budget: SearchBudget | None = None
                     if monotonic() > deadline:
                         raise _BudgetStop
                     check = min(nodes + 4096, max_nodes + 1)
-                refined = [free[counts[0]:]]
-                for i, (c, t) in enumerate(zip(classes, counts)):
-                    if t:
-                        refined.append(c[:t])
-                    if i and t < len(c):
-                        refined.append(c[t:])
-                if (len(refined) - (not refined[0]) + min(left * size, room - size) < n
-                        or max(map(len, refined)) > 1 << left):
-                    continue  # rule 6: the masks can no longer all differ
-                for c, t in zip(classes, counts):
-                    for v in c[:t]:
-                        member[v] |= bit
                 if place(f + 1, refined, size, room - size):
                     return True
-                for c, t in zip(classes, counts):
-                    for v in c[:t]:
-                        member[v] ^= bit
         return False
 
     try:
@@ -206,19 +239,6 @@ def hypergraph_exists(n: int, k: int, m: int, budget: SearchBudget | None = None
     return SearchResult(SearchStatus.FOUND, _validated(Decomposition(n=n, k=k, forests=tuple(
         StarForest(tuple(Star(c, tuple(ls)) for c, ls in enumerate(row) if ls)) for row in leaves if any(row)
     ))), nodes)
-
-
-def _prefix_counts(sizes: list[int], total: int, least: int) -> Iterator[tuple[int, ...]]:
-    """Every way to take ``total`` vertices as prefixes of classes of these
-    sizes, at least ``least`` of them from the first, largest shares first."""
-    if len(sizes) == 1:
-        if least <= total <= sizes[0]:
-            yield (total,)
-        return
-    rest = sum(sizes[1:])
-    for t in range(min(total, sizes[0]), max(least, total - rest, 0) - 1, -1):
-        for tail in _prefix_counts(sizes[1:], total - t, 0):
-            yield (t, *tail)
 
 
 def _leaf_cover(edges: list[tuple[int, int]], member: list[int]) -> dict[int, int] | None:

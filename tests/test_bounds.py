@@ -103,9 +103,9 @@ def test_bound_report_with_search():
 
 
 def test_bound_report_search_out_of_budget_raises_only_the_lower_bound():
-    # m=6 exhausts in 961 center-set placements, then m=7, which needs 30
+    # m=6 exhausts in 327 center-set placements, then m=7, which needs 7
     # more, runs out of budget one placement short
-    r = bound_report(9, 2, budget=SearchBudget(max_nodes=961 + 29))
+    r = bound_report(9, 2, budget=SearchBudget(max_nodes=327 + 6))
     assert (r.lower, r.lower_source, r.upper, r.upper_source) == (7, "search", None, None)
 
 

@@ -62,7 +62,7 @@ def _slow(*values, reason):
 
 @pytest.mark.parametrize("n,want", [
     (4, 3), (5, 4), (6, 5), (7, 6), (8, 6), (9, 7), (10, 8),
-    _slow(11, 9, reason="~5s"), _slow(12, 9, reason="~1s"), _slow(13, 10, reason="~5s exhaustion of (13, 2, 9)"),
+    _slow(11, 9, reason="~2s"), _slow(12, 9, reason="~1s"), _slow(13, 10, reason="~5s exhaustion of (13, 2, 9)"),
 ])
 def test_f_exact_two_star_values(n, want):
     # Pach, Saghafian and Schnider proved F_2(n) = ceil(3n/4) for n >= 4
@@ -72,11 +72,11 @@ def test_f_exact_two_star_values(n, want):
 
 
 @pytest.mark.parametrize("n,k", [(10, 3), (10, 4), _slow(12, 3, reason="~2s exhaustion of (12, 3, 7)"),
-                                 _slow(12, 4, reason="~5s exhaustion of (12, 4, 7)")])
+                                 _slow(12, 4, reason="~4s exhaustion of (12, 4, 7)")])
 def test_f_exact_meets_n_over_2_plus_2(n, k):
     # the paper's lower bound n/2 + 2 for even n > 2k, which f_exact starts
-    # from, is also the search's: n/2 + 1 forests are exhausted (in 20,038
-    # and 39,712 placements at n = 10), and n/2 + 2 are found
+    # from, is also the search's: n/2 + 1 forests are exhausted (in 4,957
+    # and 9,276 placements at n = 10), and n/2 + 2 are found
     assert exists_decomposition(n, k, n // 2 + 1).status is SearchStatus.EXHAUSTED_NOT_FOUND
     res = f_exact(n, k)
     assert res.value == n // 2 + 2
@@ -93,7 +93,7 @@ def test_f_exact_three_stars_at_odd_n():
         assert validate_decomposition(res.certificate).ok
 
 
-@pytest.mark.parametrize("k", [_slow(5, reason="~4s"), _slow(6, reason="~4s")])
+@pytest.mark.parametrize("k", [_slow(5, reason="~3s"), _slow(6, reason="~2s")])
 def test_f_exact_more_stars_at_13(k):
     # F_k(13) <= F_4(13) = 8 and the lower bound is 8; the conjectured
     # ceil((k+1)n/2k) is 8 as well for these k
@@ -129,11 +129,11 @@ def test_column_rule_prunes_relabelled_columns():
 def test_exists_decomposition_node_counts():
     # center-set placements on the benchmark's instances; F_2(6) = 5 = n-1
     # needs no search
-    exhaustions = {(6, 2, 4): 35, (7, 2, 4): 4, (7, 3, 4): 5, (7, 4, 4): 5, (8, 2, 4): 0}
+    exhaustions = {(6, 2, 4): 14, (7, 2, 4): 2, (7, 3, 4): 2, (7, 4, 4): 2, (8, 2, 4): 0}
     for (n, k, m), nodes in exhaustions.items():
         res = exists_decomposition(n, k, m)
         assert (res.status, res.nodes_explored) == (SearchStatus.EXHAUSTED_NOT_FOUND, nodes)
-    for (n, k), nodes in {(6, 2): 0, (7, 3): 11, (7, 7): 11}.items():
+    for (n, k), nodes in {(6, 2): 0, (7, 3): 5, (7, 7): 5}.items():
         res = f_exact(n, k)
         assert (res.value, res.nodes_explored) == (5, nodes)
 
@@ -173,11 +173,11 @@ def test_f_exact_n7_fast_cases():
 
 def test_f_exact_n7_two_star_slow():
     # the backtracker needs 2,505,094 nodes for m = 5; the search exhausts it
-    # in 374 placements
+    # in 137 placements
     res = f_exact(7, 2)
     assert res.value == 6  # matches ceil(3*7/4)
     assert res.attempts == ((5, SearchStatus.EXHAUSTED_NOT_FOUND),)
-    assert res.nodes_explored == 374
+    assert res.nodes_explored == 137
 
 
 def test_certificates_respect_budgets():
@@ -194,22 +194,22 @@ def test_budget_exceeded_signalling():
 
 
 def test_budget_of_exactly_the_nodes_needed_finds():
-    # (7, 3, 5) is found on its 11th node
-    assert exists_decomposition(7, 3, 5, SearchBudget(max_nodes=11)).status is SearchStatus.FOUND
-    res = exists_decomposition(7, 3, 5, SearchBudget(max_nodes=10))
-    assert (res.status, res.nodes_explored) == (SearchStatus.BUDGET_EXCEEDED, 10)
+    # (7, 3, 5) is found on its 5th node
+    assert exists_decomposition(7, 3, 5, SearchBudget(max_nodes=5)).status is SearchStatus.FOUND
+    res = exists_decomposition(7, 3, 5, SearchBudget(max_nodes=4))
+    assert (res.status, res.nodes_explored) == (SearchStatus.BUDGET_EXCEEDED, 4)
 
 
 def test_wall_time_stops_at_the_first_deadline_check():
     # the deadline is read every 4096 nodes, so even an expired one lets 4096
-    # run: (10, 2, 7) needs 14009 placements to exhaust
+    # run: (10, 2, 7) needs 4170 placements to exhaust
     res = exists_decomposition(10, 2, 7, SearchBudget(wall_time=1e-9))
     assert (res.status, res.certificate, res.nodes_explored) == (SearchStatus.BUDGET_EXCEEDED, None, 4096)
 
 
 def test_wall_time_is_read_at_the_same_node_counts_in_every_stage():
     # a feasible row reads the deadline at the same node counts as an
-    # exhaustion: (11, 5, 7) is found on its 55178th placement
+    # exhaustion: (11, 5, 7) is found on its 6799th placement
     res = exists_decomposition(11, 5, 7, SearchBudget(wall_time=1e-9))
     assert (res.status, res.certificate, res.nodes_explored) == (SearchStatus.BUDGET_EXCEEDED, None, 4096)
 
@@ -228,27 +228,27 @@ def staircase(n: int, k: int) -> Decomposition:
 
 
 def test_f_exact_budget_runs_out_inside_and_after_an_exhaustion():
-    # F_2(7) = 6 from the lower bound 5.  Exhausting m=5 takes 374 center-set
-    # placements.  A search visits at most max_nodes nodes: one short of 374
-    # stops inside the exhaustion, and exactly 374 completes it with nothing
+    # F_2(7) = 6 from the lower bound 5.  Exhausting m=5 takes 137 center-set
+    # placements.  A search visits at most max_nodes nodes: one short of 137
+    # stops inside the exhaustion, and exactly 137 completes it with nothing
     # left for m=6, which the staircase of n-1 = 6 stars settles without a search.
-    res = f_exact(7, 2, SearchBudget(max_nodes=373))
+    res = f_exact(7, 2, SearchBudget(max_nodes=136))
     assert res.status is SearchStatus.BUDGET_EXCEEDED
     assert res.attempts == ((5, SearchStatus.BUDGET_EXCEEDED),)
-    assert (res.interval, res.nodes_explored) == ((5, 6), 373)
-    res = f_exact(7, 2, SearchBudget(max_nodes=374))
+    assert (res.interval, res.nodes_explored) == ((5, 6), 136)
+    res = f_exact(7, 2, SearchBudget(max_nodes=137))
     assert (res.status, res.value, res.certificate) == (SearchStatus.FOUND, 6, staircase(7, 2))
     assert res.attempts == ((5, SearchStatus.EXHAUSTED_NOT_FOUND),)
-    assert (res.interval, res.nodes_explored) == ((6, 6), 374)
+    assert (res.interval, res.nodes_explored) == ((6, 6), 137)
 
 
 def test_f_exact_budget_runs_out_between_attempts():
-    # F_2(9) from the lower bound 6: exhausting m=6 takes exactly 961 nodes,
-    # so a budget of 961 stops before m=7 starts, not inside it
-    res = f_exact(9, 2, SearchBudget(max_nodes=961))
+    # F_2(9) from the lower bound 6: exhausting m=6 takes exactly 327 nodes,
+    # so a budget of 327 stops before m=7 starts, not inside it
+    res = f_exact(9, 2, SearchBudget(max_nodes=327))
     assert (res.status, res.value, res.certificate) == (SearchStatus.BUDGET_EXCEEDED, None, None)
     assert res.attempts == ((6, SearchStatus.EXHAUSTED_NOT_FOUND),)
-    assert (res.interval, res.nodes_explored) == ((7, 8), 961)
+    assert (res.interval, res.nodes_explored) == ((7, 8), 327)
 
 
 def test_too_few_centers_exhaust_at_the_root():
@@ -436,7 +436,7 @@ def _small_sweep_digests():
 
 def test_search_sweep_pinned():
     # any change to the enumeration or its pruning moves it
-    assert _small_sweep_digests()[0] == "7fd146109a8053a1197c838e19ae7e96304b1fc95cdd1f7d0dad9b634d792437"
+    assert _small_sweep_digests()[0] == "4986c1706e3d893bd01c5d45591908431ae8ad32acc39a780370431eab0586fd"
 
 
 def test_search_sweep_results_pinned():
@@ -669,7 +669,7 @@ def test_hypergraph_engine_exhausts_9_2_6_within_a_second():
     assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.parametrize("n,k,m,placements", [(7, 7, 5, 11), (8, 7, 6, 31)], ids=["7-7-5", "8-7-6"])
+@pytest.mark.parametrize("n,k,m,placements", [(7, 7, 5, 5), (8, 7, 6, 6)], ids=["7-7-5", "8-7-6"])
 def test_hypergraph_engine_caps_center_sets_at_half_of_n(n, k, m, placements):
     # the stars of a forest are disjoint with at least two vertices each, so
     # rule 1 caps every center set at n // 2; a cap of min(k, n) took 6,110
@@ -679,7 +679,7 @@ def test_hypergraph_engine_caps_center_sets_at_half_of_n(n, k, m, placements):
     assert validate_decomposition(res.certificate).ok
 
 
-@pytest.mark.parametrize("k,placements", [(2, 100), (3, 1594)], ids=["2", "3"])
+@pytest.mark.parametrize("k,placements", [(2, 37), (3, 488)], ids=["2", "3"])
 def test_n8_m5_exhausts_through_exists_decomposition(k, placements):
     # the backtracker needs 3,679,924 and 13,497,802 nodes for these
     res = exists_decomposition(8, k, 5)
@@ -687,9 +687,64 @@ def test_n8_m5_exhausts_through_exists_decomposition(k, placements):
 
 
 def test_f_exact_n9_two_star():
-    # (9, 2, 6) exhausts in 961 placements and (9, 2, 7) is found in 30
+    # (9, 2, 6) exhausts in 327 placements and (9, 2, 7) is found in 7
     res = f_exact(9, 2)
     assert res.value == 7 == -(-3 * 9 // 4)
     assert res.attempts == ((6, SearchStatus.EXHAUSTED_NOT_FOUND), (7, SearchStatus.FOUND))
-    assert res.nodes_explored == 961 + 30
+    assert res.nodes_explored == 327 + 7
     assert validate_decomposition(res.certificate).ok
+
+
+# Every (n, k, m) with n <= 8 that visits a node: the placements the engine
+# built and the ones rule 6 then cut, when it still cut built placements
+_RULE6_CUTS = {
+    (5, 2, 3): (3, 1), (5, 3, 3): (3, 1), (5, 4, 3): (3, 1), (5, 5, 3): (3, 1),
+    (6, 2, 4): (35, 21), (6, 3, 4): (107, 68), (6, 4, 4): (107, 68), (6, 5, 4): (107, 68), (6, 6, 4): (107, 68),
+    (7, 2, 4): (4, 2), (7, 2, 5): (374, 237), (7, 3, 4): (5, 3), (7, 3, 5): (11, 6), (7, 4, 4): (5, 3),
+    (7, 4, 5): (11, 6), (7, 5, 4): (5, 3), (7, 5, 5): (11, 6), (7, 6, 4): (5, 3), (7, 6, 5): (11, 6),
+    (7, 7, 4): (5, 3), (7, 7, 5): (11, 6),
+    (8, 2, 5): (100, 63), (8, 2, 6): (22, 16), (8, 3, 5): (1594, 1106), (8, 3, 6): (17, 11),
+    (8, 4, 5): (861, 635), (8, 4, 6): (31, 25), (8, 5, 5): (861, 635), (8, 5, 6): (31, 25),
+    (8, 6, 5): (861, 635), (8, 6, 6): (31, 25), (8, 7, 5): (861, 635), (8, 7, 6): (31, 25),
+    (8, 8, 5): (861, 635), (8, 8, 6): (31, 25),
+}
+
+
+def test_rule_6_skips_exactly_the_placements_it_used_to_cut():
+    # the walk over C_f's shares skips a share only when rule 6 would cut
+    # every placement through it, and yields no placement that rule 6 cuts,
+    # so each node count is the old placements less the old cuts
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            for m in range(1, n + 1):
+                placements, cuts = _RULE6_CUTS.get((n, k, m), (0, 0))
+                assert (n, k, m, exists_decomposition(n, k, m).nodes_explored) == (n, k, m, placements - cuts)
+
+
+@pytest.mark.parametrize("n,k,m,placements", [(100, 2, 77, 77), (16, 3, 10, 822), (20, 3, 12, 462)])
+def test_place_recurses_once_per_forest(n, k, m, placements):
+    # the walk over a forest's classes is a generator, off the call stack
+    # while the later forests are placed; were each forest's walk to stay on
+    # it, the path to (100, 2, 77)'s certificate would hold 3,252 class
+    # frames, past Python's default recursion limit of 1,000, and the
+    # search would end out of budget
+    res = hypergraph_exists(n, k, m)
+    assert (res.status, res.nodes_explored) == (SearchStatus.FOUND, placements)
+    assert validate_decomposition(res.certificate).ok
+    assert res.certificate.forest_count <= m
+
+
+@pytest.mark.parametrize("n,k,m,status,placements", [
+    _slow(12, 4, 7, SearchStatus.EXHAUSTED_NOT_FOUND, 128_656, reason="~3s"),
+    _slow(13, 2, 9, SearchStatus.EXHAUSTED_NOT_FOUND, 158_214, reason="~4s"),
+    _slow(22, 3, 13, SearchStatus.FOUND, 4_604, reason="~1s"),
+    _slow(23, 3, 13, SearchStatus.FOUND, 67_870, reason="~15s"),
+], ids=["12-4-7", "13-2-9", "22-3-13", "23-3-13"])
+def test_frontier_rows(n, k, m, status, placements):
+    # (23, 3, 13) settles F_3(23) = 13 = ceil(5 * 23 / 9), the f3-counting
+    # lower bound
+    res = hypergraph_exists(n, k, m)
+    assert (res.status, res.nodes_explored) == (status, placements)
+    if status is SearchStatus.FOUND:
+        assert validate_decomposition(res.certificate).ok
+        assert res.certificate.forest_count <= m
