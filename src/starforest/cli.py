@@ -183,8 +183,8 @@ def cmd_analyze(args) -> int:
     prof = degree_profile(rh)
     iso = check_no_isolated(rh)
     counting = _report_or_reason(NotApplicableError, check_counting_inequality, prof)
-    placement = _report_or_reason(DecompositionError, check_degree1_placement, rh, report)
-    bds = _report_or_reason(NotApplicableError, is_broken_double_star, d, report)
+    placement = _report_or_reason(DecompositionError, check_degree1_placement, report)
+    bds = _report_or_reason(NotApplicableError, is_broken_double_star, report)
     if isinstance(bds, NotApplicableError):
         bds = f"not applicable: {bds}"
 

@@ -10,10 +10,10 @@ k-star-forests, in one of three ways:
   vertex centers such a star somewhere.  A forest of c stars holds at most
   n - c edges, so the m forests hold at most m*n - n(n-1)/2 stars, which
   falls short of n when 2m <= n; and they hold at most km, which falls short
-  when km < n.  Either way the row is exhausted after 0 nodes, before the
-  n(n-1)/2 edges of K_n are built;
+  when km < n.  Either way the row is exhausted after 0 nodes;
 * otherwise ``hypergraph_exists`` decides it: it enumerates the forests'
-  center sets and matches the edges into leaf slots.
+  center sets and matches the edges into leaf slots, listing K_n's edges
+  only for a complete tuple, so a search stopped earlier holds memory in n.
 
 A node is one center-set placement that rules 1-4 and 6 of
 ``hypergraph_exists`` admit; a share of a class that rule 6 cuts is skipped
@@ -38,7 +38,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .bounds import safe_lower_bound
-from .core import CheckedRecord, Decomposition, PreconditionError, Star, StarForest, complete_graph_edges
+from .core import CheckedRecord, Decomposition, PreconditionError, Star, StarForest
 from .verify import validate_decomposition
 
 
@@ -122,7 +122,8 @@ def hypergraph_exists(n: int, k: int, m: int, budget: SearchBudget | None = None
        larger, so the tuple is cut once the vertices in no set exceed that
        allowance plus (sets after C_f) * |C_f|;
     5. each complete tuple is matched by Kuhn's augmenting paths, edges with
-       the fewest slots first;
+       the fewest slots first; an edge whose first slot is free takes it, as
+       its augmenting path would;
     6. the n membership masks are pairwise distinct, since edge uv takes a
        slot (v, f) only with u in C_f and v not, or (u, f) the other way
        round, so u and v in the same sets leave it none.  Rule 2's classes
@@ -161,7 +162,6 @@ def hypergraph_exists(n: int, k: int, m: int, budget: SearchBudget | None = None
     max_nodes = budget.max_nodes
     monotonic = time.monotonic
     deadline = monotonic() + budget.wall_time
-    edges = complete_graph_edges(n)
     member = [0] * n  # per vertex: bitmask of the forests whose center set holds it
     allow = 0 if m < n - 1 else 1  # vertices that may end in no center set (rule 4)
     nodes = 0
@@ -173,7 +173,7 @@ def hypergraph_exists(n: int, k: int, m: int, budget: SearchBudget | None = None
         vertices and room in all; classes[0] holds the vertices in no set yet."""
         nonlocal nodes, check, cover
         if f == m:
-            cover = _leaf_cover(edges, member)
+            cover = _leaf_cover(member)
             return cover is not None
         left = m - f - 1  # sets after C_f
         bit = 1 << f
@@ -226,7 +226,7 @@ def hypergraph_exists(n: int, k: int, m: int, budget: SearchBudget | None = None
         return False
 
     try:
-        found = place(0, [list(range(n))], min(k, max(1, n // 2)), m * n - len(edges))
+        found = place(0, [list(range(n))], min(k, max(1, n // 2)), m * n - n * (n - 1) // 2)
     except (_BudgetStop, RecursionError):
         return SearchResult(SearchStatus.BUDGET_EXCEEDED, None, nodes)
     if not found:
@@ -234,29 +234,31 @@ def hypergraph_exists(n: int, k: int, m: int, budget: SearchBudget | None = None
     leaves = [[[] for _ in range(n)] for _ in range(m)]  # per forest and center
     for slot, e in sorted(cover.items()):
         f, w = divmod(slot, n)
-        u, v = edges[e]
+        u, v = divmod(e, n)
         leaves[f][u + v - w].append(w)
     return SearchResult(SearchStatus.FOUND, _validated(Decomposition(n=n, k=k, forests=tuple(
         StarForest(tuple(Star(c, tuple(ls)) for c, ls in enumerate(row) if ls)) for row in leaves if any(row)
     ))), nodes)
 
 
-def _leaf_cover(edges: list[tuple[int, int]], member: list[int]) -> dict[int, int] | None:
+def _leaf_cover(member: list[int]) -> dict[int, int] | None:
     """A matching of every edge into the leaf slots, or None (rule 5).
 
-    ``member[v]`` has bit f set when v is in C_f.  The matching maps leaf slot
-    (w, f), numbered f * n + w, to the index of the edge it holds.
+    ``member[v]`` has bit f set when v is in C_f.  Edge uv (u < v) is the key
+    u * n + v, listed here in lexicographic order; the matching maps leaf
+    slot (w, f), numbered f * n + w, to the key of the edge it holds.
     """
     n = len(member)
-    slots = []
-    for u, v in edges:
-        here = []
-        for w, x in ((v, member[u] & ~member[v]), (u, member[v] & ~member[u])):
-            while x:  # each forest with the other end a center and w not
-                low = x & -x
-                here.append((low.bit_length() - 1) * n + w)
-                x ^= low
-        slots.append(here)
+    slots: dict[int, list[int]] = {}
+    for u in range(n):
+        for v in range(u + 1, n):
+            here = []
+            for w, x in ((v, member[u] & ~member[v]), (u, member[v] & ~member[u])):
+                while x:  # each forest with the other end a center and w not
+                    low = x & -x
+                    here.append((low.bit_length() - 1) * n + w)
+                    x ^= low
+            slots[u * n + v] = here
     owner: dict[int, int] = {}
 
     def augment(e: int) -> bool:
@@ -288,8 +290,10 @@ def _leaf_cover(edges: list[tuple[int, int]], member: list[int]) -> dict[int, in
                     took.pop()
         return False
 
-    for e in sorted(range(len(edges)), key=lambda e: len(slots[e])):
-        if not augment(e):
+    for e, here in sorted(slots.items(), key=lambda item: len(item[1])):
+        if here and here[0] not in owner:  # what augment would do first
+            owner[here[0]] = e
+        elif not augment(e):
             return None
     return owner
 

@@ -105,7 +105,7 @@ class CoverageReport(NamedTuple):
 
 
 class ValidationReport(NamedTuple):
-    """The verdict on ``decomposition``, which the report names so a check handed it can tell whose it is."""
+    """The verdict on ``decomposition``, which the report names so a check handed it needs nothing else."""
 
     ok: bool
     malformed: tuple[str, ...]
@@ -196,13 +196,9 @@ class RootHypergraph(NamedTuple("RootHypergraph", [("n", int), ("hyperedges", tu
         return type(self), tuple(self)
 
 
-def _center_sets(d: Decomposition) -> tuple[frozenset[int], ...]:
-    return tuple(frozenset(s.center for s in f.stars) for f in d.forests)
-
-
 def root_hypergraph(d: Decomposition) -> RootHypergraph:
     """One hyperedge per forest, holding exactly that forest's centers."""
-    return RootHypergraph(d.n, _center_sets(d))
+    return RootHypergraph(d.n, tuple(frozenset(s.center for s in f.stars) for f in d.forests))
 
 
 class IsolationReport(NamedTuple("IsolationReport", [
@@ -311,7 +307,7 @@ class Degree1PlacementReport(NamedTuple):
     pinched_degree2: tuple[tuple[int, int, int], ...]
 
 
-def check_degree1_placement(rh: RootHypergraph, report: ValidationReport) -> Degree1PlacementReport:
+def check_degree1_placement(report: ValidationReport) -> Degree1PlacementReport:
     """Center-placement conditions on degree-1 vertices of a valid decomposition.
 
     (1) no hyperedge may contain two degree-1 vertices; (2) the two hyperedges
@@ -319,19 +315,16 @@ def check_degree1_placement(rh: RootHypergraph, report: ValidationReport) -> Deg
     failure on a genuinely valid decomposition would break the coverage
     argument, so test suites treat any violation as fatal.
 
-    Call it as ``check_degree1_placement(root_hypergraph(d),
-    validate_decomposition(d))``.
+    ``report`` is ``validate_decomposition(d)``; the conditions are read from
+    the root-hypergraph of ``report.decomposition``, which the check builds.
 
     Raises:
-        PreconditionError: if the report is not valid, or ``rh`` is not the
-            root-hypergraph of the decomposition the report names.
+        PreconditionError: if the report is not valid.
         NotApplicableError: if m >= n-1 or some hyperedge has fewer than 2 vertices.
     """
     if not report.ok:
         raise PreconditionError("placement checks need a valid decomposition")
-    if rh.n != report.decomposition.n or rh.hyperedges != _center_sets(report.decomposition):
-        raise PreconditionError("placement checks need the report of the hypergraph's own decomposition")
-    return _degree1_placement(rh)
+    return _degree1_placement(root_hypergraph(report.decomposition))
 
 
 def _degree1_placement(rh: RootHypergraph) -> Degree1PlacementReport:
@@ -363,7 +356,7 @@ def _degree1_placement(rh: RootHypergraph) -> Degree1PlacementReport:
     return Degree1PlacementReport(ok=not shared and not pinched, shared_degree1=tuple(shared), pinched_degree2=tuple(pinched))
 
 
-def is_broken_double_star(d: Decomposition, report: ValidationReport) -> bool:
+def is_broken_double_star(report: ValidationReport) -> bool:
     """Recognize the broken double star, the (t+1)-forest decomposition of K_{2t}.
 
     For t >= 3 it is t spanning two-star forests of t-1 leaves per star,
@@ -382,15 +375,14 @@ def is_broken_double_star(d: Decomposition, report: ValidationReport) -> bool:
     arc is L(v) + {partner(v)}; u lies in L(v), since L(v) and
     L(partner(v)) are disjoint and not empty.
 
-    ``report`` is ``validate_decomposition(d)``; a ``d`` without the
-    (t+1)-forest shape is rejected before its verdict is read.
+    ``report`` is ``validate_decomposition(d)``, and ``d`` is
+    ``report.decomposition``; a ``d`` without the (t+1)-forest shape is
+    rejected before the verdict is read.
 
     Raises:
-        PreconditionError: if ``report`` names another decomposition.
         NotApplicableError: for odd n.
     """
-    if report.decomposition != d:
-        raise PreconditionError("broken double star recognition needs the report of its own decomposition")
+    d = report.decomposition
     if d.n % 2 == 1:
         raise NotApplicableError("only defined for even vertex counts")
     t = d.n // 2

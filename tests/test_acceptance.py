@@ -192,7 +192,7 @@ def test_criterion_9_property_battery():
             if rh.m < d.n - 1:
                 assert check_no_isolated(rh).ok
                 if all(len(e) >= 2 for e in rh.hyperedges):
-                    assert check_degree1_placement(rh, validate_decomposition(d)).ok
+                    assert check_degree1_placement(validate_decomposition(d)).ok
             sizes = {len(e) for e in rh.hyperedges}
             if sizes <= {2, 3}:
                 assert prof.degree_sum == 3 * rh.m - prof.r  # degree sum identity

@@ -422,26 +422,32 @@ def test_analyze_validates_once(capsys, monkeypatch, tmp_path, name, placement, 
 def test_checks_validate_without_report(tmp_path):
     dropped = parse(pinned_input("k27_dropped", tmp_path).read_text()).decomposition
     with pytest.raises(PreconditionError, match="^placement checks need a valid decomposition$"):
-        check_degree1_placement(verify.root_hypergraph(dropped), verify.validate_decomposition(dropped))
+        check_degree1_placement(verify.validate_decomposition(dropped))
     extra = parse(pinned_input("bds_t4_extra", tmp_path).read_text()).decomposition
-    assert not is_broken_double_star(extra, verify.validate_decomposition(extra))
+    assert not is_broken_double_star(verify.validate_decomposition(extra))
     bds = parse((GOLDEN / "bds_t4.sfd").read_text()).decomposition
-    assert is_broken_double_star(bds, verify.validate_decomposition(bds))
+    assert is_broken_double_star(verify.validate_decomposition(bds))
 
 
-def test_analyze_builds_the_root_hypergraph_once(capsys, monkeypatch):
+def test_analyze_and_its_placement_check_each_build_the_root_hypergraph_once(capsys, monkeypatch):
+    # analyze builds one hypergraph for its own report; the placement check
+    # takes the validation report alone and builds one from the decomposition
+    # the report names, the same decomposition
     calls = []
 
-    def counted(d, _build=verify.root_hypergraph):
-        calls.append(d)
-        return _build(d)
+    def counted(caller, _build=verify.root_hypergraph):
+        def build(d):
+            calls.append((caller, d))
+            return _build(d)
+        return build
 
-    monkeypatch.setattr(cli, "root_hypergraph", counted)
-    monkeypatch.setattr(verify, "root_hypergraph", counted)
+    monkeypatch.setattr(cli, "root_hypergraph", counted("cli"))
+    monkeypatch.setattr(verify, "root_hypergraph", counted("verify"))
     rc, out, _ = run(capsys, ["analyze", "--json", "--in", str(GOLDEN / "k27.sfd")])
     assert rc == 0
     assert json.loads(out)["degree1_placement"]["ok"] is True
-    assert len(calls) == 1
+    assert [caller for caller, _ in calls] == ["cli", "verify"]
+    assert calls[0][1] is calls[1][1]
 
 
 def test_search_json(capsys):
@@ -830,3 +836,17 @@ def test_search_refuted_at_the_root_allocates_nothing(run_module):
                       address_space=256 << 20)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         0, '{"nodes": 0, "status": "exhausted-not-found"}\n', "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--n", "20000", "--k", "2"),
+    ("--n", "100000", "--k", "2", "--max-forests", "60000"),
+], ids=["f_exact-n20000", "max-forests-n100000"])
+def test_budgeted_search_lists_no_edge_before_its_first_node(run_module, argv):
+    # the budget stops the search at its second placement, long before a
+    # complete tuple of center sets, so K_n's n(n-1)/2 edges are never listed
+    # and the run fits 256 MB
+    proc = run_module("search", *argv, "--max-nodes", "1", "--json", address_space=256 << 20)
+    assert (proc.returncode, proc.stderr) == (3, "")
+    payload = json.loads(proc.stdout)
+    assert (payload["status"], payload["nodes"]) == ("budget-exceeded", 1)

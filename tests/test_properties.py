@@ -107,7 +107,7 @@ def test_degree1_center_placement_where_applicable(name, d):
     rh = root_hypergraph(d)
     if rh.m >= d.n - 1 or any(len(e) < 2 for e in rh.hyperedges):
         return
-    rep = check_degree1_placement(rh, validate_decomposition(d))
+    rep = check_degree1_placement(validate_decomposition(d))
     assert rep.ok, (name, rep.shared_degree1, rep.pinched_degree2)
 
 

@@ -93,7 +93,7 @@ def _examples() -> dict:
         IsolationReport: check_no_isolated(rh),
         DegreeProfile: degree_profile(rh),
         CountingReport: check_counting_inequality(degree_profile(rh)),
-        Degree1PlacementReport: check_degree1_placement(rh, report),
+        Degree1PlacementReport: check_degree1_placement(report),
         SearchBudget: SearchBudget(),
         SearchResult: exists_decomposition(4, 2, 2),
         FExactResult: f_exact(4, 2),

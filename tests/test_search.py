@@ -605,12 +605,11 @@ def test_center_sets_of_a_decomposition_admit_a_covering_matching(make, flip):
     # On k4gen m=10 (n = 124) an augmenting path is longer than Python's
     # default recursion limit
     d = make()
-    edges = complete_graph_edges(d.n)
     member = _center_sets(d, flip)
     assert len(set(member)) == d.n  # rule 6
-    cover = search._leaf_cover(edges, member)
+    cover = search._leaf_cover(member)
     assert cover is not None
-    assert sorted(cover.values()) == list(range(len(edges)))
+    assert sorted(cover.values()) == [u * d.n + v for u, v in complete_graph_edges(d.n)]
 
 
 @pytest.mark.parametrize("member, covered", [
@@ -619,11 +618,10 @@ def test_center_sets_of_a_decomposition_admit_a_covering_matching(make, flip):
     ([1, 2, 4], True),
 ])
 def test_leaf_cover_called_directly(member, covered):
-    edges = complete_graph_edges(3)
-    cover = search._leaf_cover(edges, member)
+    cover = search._leaf_cover(member)
     assert (cover is not None) == covered
     if covered:
-        assert sorted(cover.values()) == list(range(len(edges)))
+        assert sorted(cover.values()) == [1, 2, 5]  # u * 3 + v for the edges 0-1, 0-2, 1-2
 
 
 def test_only_distinct_masks_reach_the_matching(monkeypatch):
@@ -631,9 +629,9 @@ def test_only_distinct_masks_reach_the_matching(monkeypatch):
     # before it is complete, so Kuhn's matching never sees one
     distinct = []
 
-    def leaf_cover(edges, member):
+    def leaf_cover(member):
         distinct.append(len(set(member)) == len(member))
-        return cover(edges, member)
+        return cover(member)
 
     cover = search._leaf_cover
     monkeypatch.setattr(search, "_leaf_cover", leaf_cover)
