@@ -45,7 +45,7 @@ from .verify import (
     check_no_isolated,
     degree_profile,
     is_broken_double_star,
-    root_hypergraph,
+    root_hypergraph,  # unused here: bench/tracing.py wraps cli.root_hypergraph
     validate_decomposition,
 )
 
@@ -126,7 +126,8 @@ def cmd_verify(args) -> int:
         }
         # JSON escapes every quote inside a string, so this key is the only match
         head, _, tail = json.dumps(payload, sort_keys=True).partition('"missing": []')
-        names = [str(v) for v in range(missing.n)]  # before any output: a MemoryError leaves stdout empty
+        # only when an edge is missing, and before any output: a MemoryError leaves stdout empty
+        names = [str(v) for v in range(missing.n)] if missing else []
         sys.stdout.write(head + '"missing": [')
         _write_missing_rows(missing, names)
         sys.stdout.write("]" + tail + "\n")
@@ -179,7 +180,7 @@ def cmd_analyze(args) -> int:
     f = _load(args.infile)
     d = f.decomposition
     report = validate_decomposition(d)
-    rh = root_hypergraph(d)
+    rh = report.hypergraph  # the one build: the placement check reads it too
     prof = degree_profile(rh)
     iso = check_no_isolated(rh)
     counting = _report_or_reason(NotApplicableError, check_counting_inequality, prof)

@@ -34,6 +34,15 @@ decomposition, whose vertices recur on line after line, checks each spelling
 once.  A star line with any other token, and the one ``duplicates`` line, are
 read token by token, so an error and its line number do not depend on the
 table, which holds only the tokens that appear, never anything of size n.
+
+A star line costs one split, one map through the table and one set.  The
+table, or the token-by-token read that rejects signs other than ``-0``,
+settles two of ``Star``'s rules: no id is negative, and a line of four or
+more tokens has a leaf.  So when the set of center and leaves has one
+member per token, every rule holds and the star is built without re-checking
+them.  Any other line is handed to ``Star``, which words the error, so each
+message and line number is the one ``Star`` gives, and the first error in
+line order wins.
 """
 
 from __future__ import annotations
@@ -203,10 +212,9 @@ def parse(text: str) -> DecompositionFile:
     dup_lineno = 0
 
     for lineno, rawline in enumerate(lines[1:], start=2):
-        line = rawline.strip()
-        if not line or line.startswith("#"):
+        tokens = rawline.split()
+        if not tokens:
             continue
-        tokens = line.split()
         directive = tokens[0]
         if directive == "star":  # the common line, so tested first
             if not forests:
@@ -219,11 +227,16 @@ def parse(text: str) -> DecompositionFile:
                 center, leaves = ids[tokens[1]], tuple(map(ids.__getitem__, tokens[3:]))
             except KeyError:  # a sign, '-0', a bad token or one out of range
                 center, leaves = _star_vertices(tokens, lineno, n)
-            try:
-                forests[-1].append(Star(center, leaves))
-            except MalformedStarError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
+            if len({center, *leaves}) != len(leaves) + 1:  # a vertex twice: Star words which
+                try:
+                    Star(center, leaves)
+                except MalformedStarError as exc:
+                    raise ParseError(f"line {lineno}: {exc}") from None
+            forests[-1].append(tuple.__new__(Star, (center, leaves)))  # Star's rules hold, see the module docstring
             continue
+        if directive[0] == "#":
+            continue
+        line = rawline.strip()  # a header, meta or forest line
         if directive in _ONCE:
             if directive in seen:
                 raise ParseError(f"line {lineno}: {directive} given twice")

@@ -104,14 +104,17 @@ class CoverageReport(NamedTuple):
     duplicated: tuple[tuple[Edge, int], ...]
 
 
-class ValidationReport(NamedTuple):
+class ValidationReport(NamedTuple("ValidationReport", [
+        ("ok", bool), ("malformed", tuple[str, ...]), ("k_violations", tuple[int, ...]),
+        ("coverage", CoverageReport), ("decomposition", Decomposition)])):
     """The verdict on ``decomposition``, which the report names so a check handed it needs nothing else."""
 
-    ok: bool
-    malformed: tuple[str, ...]
-    k_violations: tuple[int, ...]
-    coverage: CoverageReport
-    decomposition: Decomposition
+    # no __slots__: cached_property keeps its value in the instance __dict__
+
+    @cached_property
+    def hypergraph(self) -> RootHypergraph:
+        """The root-hypergraph of ``decomposition``, built on first read, so its readers share one."""
+        return root_hypergraph(self.decomposition)
 
 
 def _repeats(items: Iterable) -> Iterator[tuple]:
@@ -316,7 +319,7 @@ def check_degree1_placement(report: ValidationReport) -> Degree1PlacementReport:
     argument, so test suites treat any violation as fatal.
 
     ``report`` is ``validate_decomposition(d)``; the conditions are read from
-    the root-hypergraph of ``report.decomposition``, which the check builds.
+    ``report.hypergraph``, the root-hypergraph of ``report.decomposition``.
 
     Raises:
         PreconditionError: if the report is not valid.
@@ -324,7 +327,7 @@ def check_degree1_placement(report: ValidationReport) -> Degree1PlacementReport:
     """
     if not report.ok:
         raise PreconditionError("placement checks need a valid decomposition")
-    return _degree1_placement(root_hypergraph(report.decomposition))
+    return _degree1_placement(report.hypergraph)
 
 
 def _degree1_placement(rh: RootHypergraph) -> Degree1PlacementReport:

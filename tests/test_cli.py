@@ -429,25 +429,26 @@ def test_checks_validate_without_report(tmp_path):
     assert is_broken_double_star(verify.validate_decomposition(bds))
 
 
-def test_analyze_and_its_placement_check_each_build_the_root_hypergraph_once(capsys, monkeypatch):
-    # analyze builds one hypergraph for its own report; the placement check
-    # takes the validation report alone and builds one from the decomposition
-    # the report names, the same decomposition
-    calls = []
+def test_analyze_builds_the_root_hypergraph_once(capsys, monkeypatch):
+    # analyze reads the validation report's hypergraph, and the placement
+    # check, which takes the report alone, reads the same one
+    built, placed = [], []
 
-    def counted(caller, _build=verify.root_hypergraph):
-        def build(d):
-            calls.append((caller, d))
-            return _build(d)
-        return build
+    def counted(d, _build=verify.root_hypergraph):
+        built.append((d, _build(d)))
+        return built[-1][1]
 
-    monkeypatch.setattr(cli, "root_hypergraph", counted("cli"))
-    monkeypatch.setattr(verify, "root_hypergraph", counted("verify"))
+    def recorded(rh, _check=verify._degree1_placement):
+        placed.append(rh)
+        return _check(rh)
+
+    monkeypatch.setattr(verify, "root_hypergraph", counted)
+    monkeypatch.setattr(verify, "_degree1_placement", recorded)
     rc, out, _ = run(capsys, ["analyze", "--json", "--in", str(GOLDEN / "k27.sfd")])
     assert rc == 0
     assert json.loads(out)["degree1_placement"]["ok"] is True
-    assert [caller for caller, _ in calls] == ["cli", "verify"]
-    assert calls[0][1] is calls[1][1]
+    assert [d for d, _ in built] == [parse((GOLDEN / "k27.sfd").read_text()).decomposition]
+    assert len(placed) == 1 and placed[0] is built[0][1]
 
 
 def test_search_json(capsys):

@@ -3,12 +3,15 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starforest import (
     Decomposition,
     DecompositionError,
     DecompositionFile,
     LabelScheme,
+    MalformedStarError,
     ParseError,
     Star,
     StarForest,
@@ -26,6 +29,7 @@ from starforest import (
     serialize,
     validate_decomposition,
 )
+from starforest.fileio import _star_vertices
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -209,6 +213,75 @@ def test_parse_errors_after_known_tokens(later, problem):
     with pytest.raises(ParseError) as exc:
         parse(f"decomposition v1\nn 4\nk 2\nforest\nstar 1 : 2 3\nstar 0 : 1 2\n{later}\n")
     assert str(exc.value) == problem
+
+
+def _token(n: int):
+    """A vertex token for K_n: in or out of range, signed, padded, '-0' or no integer at all."""
+    v = st.integers(0, n + 1)
+    return st.one_of(v.map(str), v.map(lambda x: f"-{x}"), v.map(lambda x: f"0{x}"), v.map(lambda x: f"+{x}"),
+                     st.sampled_from(["1_0", "-", "\u00b2"]))
+
+
+@st.composite
+def _star_lines(draw):
+    n = draw(st.integers(1, 5))
+    vertex = _token(n) if draw(st.booleans()) else st.integers(0, n - 1).map(str)  # often only valid ids
+    lines = draw(st.lists(st.tuples(vertex, st.lists(vertex, min_size=1, max_size=5)), min_size=1, max_size=6))
+    return n, lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(_star_lines())
+def test_parse_reads_star_lines_by_the_token_by_token_rules(case):
+    # each line as the rules read it alone: _star_vertices, then Star; the
+    # first error in line order wins, whatever the token table holds by then
+    n, lines = case
+    expected: list[Star] | str = []
+    for lineno, (center, leaves) in enumerate(lines, start=5):
+        try:
+            expected.append(Star(*_star_vertices(["star", center, ":", *leaves], lineno, n)))
+        except ParseError as exc:
+            expected = str(exc)
+            break
+        except MalformedStarError as exc:
+            expected = f"line {lineno}: {exc}"
+            break
+    text = f"decomposition v1\nn {n}\nk 9\nforest\n" + "".join(
+        f"star {center} : {' '.join(leaves)}\n" for center, leaves in lines)
+    try:
+        got = list(parse(text).decomposition.forests[0].stars)
+    except ParseError as exc:
+        got = str(exc)
+    assert got == expected
+    if isinstance(got, list):
+        assert all(type(s) is Star for s in got)
+
+
+def test_parse_malformed_star_before_a_bad_token_in_its_forest_wins():
+    with pytest.raises(ParseError) as exc:
+        parse("decomposition v1\nn 4\nk 2\nforest\nstar 1 : 2 2\nstar 0 : +3\n")
+    assert str(exc.value) == "line 5: star with center 1 repeats a leaf"
+    with pytest.raises(ParseError) as exc:
+        parse("decomposition v1\nn 4\nk 2\nforest\nstar 1 : 2 1\nstar 9 : 3\n")
+    assert str(exc.value) == "line 5: star with center 1 lists the center as a leaf"
+
+
+def test_parse_builds_the_stars_star_would_build():
+    for path in sorted(GOLDEN.glob("*.sfd")):
+        for forest in parse(path.read_text()).decomposition.forests:
+            for s in forest.stars:
+                assert type(s) is Star and type(s.leaves) is tuple, path.name
+                assert s == Star(s.center, s.leaves), path.name
+
+
+def test_parse_keeps_overlapping_stars_for_validation_to_report():
+    # each star is sound alone; the overlap is a fault of the forest, which
+    # validate_decomposition reports
+    f = parse("decomposition v1\nn 4\nk 2\nforest\nstar 0 : 1 2\nstar 1 : 3\n")
+    assert f.decomposition.forests[0].stars == (Star(0, (1, 2)), Star(1, (3,)))
+    report = validate_decomposition(f.decomposition)
+    assert not report.ok
+    assert report.malformed == ("forest 0: vertex 1 appears in more than one star",)
 
 
 def test_parse_huge_header_builds_nothing_of_size_n():

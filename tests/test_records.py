@@ -2,6 +2,7 @@
 re-validation through ``_replace`` are part of the public interface."""
 
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -214,6 +215,11 @@ def test_cached_properties_cache():
     assert iso.isolated is iso.isolated
     assert "isolated" in vars(iso)
     assert iso == check_no_isolated(root_hypergraph(broken_double_star(3).decomposition))
+    report = validate_decomposition(broken_double_star(3).decomposition)
+    assert report.hypergraph is report.hypergraph
+    assert "hypergraph" in vars(report)
+    assert report.hypergraph == rh
+    assert pickle.loads(pickle.dumps(report)) == report
 
 
 def test_cli_import_loads_no_dataclasses_inspect_argparse_or_gettext():
